@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graph import Graph, from_edges
+from .graph import Graph, from_edges, short_cycle
 from .solvers import CnfFormula, triple_cover_holds
 
 RANDOM_INSTANCE_ATTEMPTS = 1000
@@ -105,31 +105,6 @@ class ConstructionSpec:
     f: Graph
     y_specs: tuple[frozenset[int], ...] = ()
     supp_edges: tuple[tuple[int, int], ...] = ()
-
-    @property
-    def d_size(self) -> int:
-        return self.f.n
-
-    @property
-    def n_total(self) -> int:
-        return self.f.n + 2 * self.f.m + len(self.y_specs)
-
-    def pair_vertices(self, i: int, j: int) -> tuple[int, int]:
-        """Canonical ids of the subdivision pair for F-edge (i, j)."""
-        i, j = min(i, j), max(i, j)
-        t = self.f.edge_list().index((i, j))
-        base = self.f.n + 2 * t
-        return base, base + 1
-
-    @property
-    def is_g1(self) -> bool:
-        """Every supplementary vertex sees exactly two D-vertices."""
-        return all(len(ys) == 2 for ys in self.y_specs)
-
-    @property
-    def is_g2(self) -> bool:
-        """No supplementary vertices at all."""
-        return not self.y_specs
 
 
 @dataclass(frozen=True)
@@ -419,17 +394,6 @@ def reduce_3sat(f: CnfFormula) -> SatReduction:
 # ---------------------------------------------------------------------------
 
 
-def _has_short_cycle(g: Graph) -> bool:
-    """Any triangle, or any two vertices with two common neighbours."""
-    for u, v in g.edges():
-        if set(g.neighbors(u)) & set(g.neighbors(v)):
-            return True
-    for u, v in combinations(range(g.n), 2):
-        if len(set(g.neighbors(u)) & set(g.neighbors(v))) >= 2:
-            return True
-    return False
-
-
 def random_h_instance(
     f_size: int,
     f_edge_prob: float,
@@ -452,7 +416,7 @@ def random_h_instance(
             if rng.random() < f_edge_prob
         ]
         candidate = from_edges(f_size, candidate_edges)
-        if not _has_short_cycle(candidate):
+        if short_cycle(candidate) is None:
             f = candidate
             break
     if f is None:

@@ -8,7 +8,7 @@ and safe to share between threads.  All other modules build on this one.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 #: A set of vertices of some host graph (plain frozenset of ints).
 VertexSet = frozenset[int]
@@ -172,6 +172,28 @@ def components(g: Graph) -> list[list[int]]:
 
 def is_connected(g: Graph) -> bool:
     return len(components(g)) == 1
+
+
+def short_cycle(g: Graph) -> Optional[int]:
+    """3 if ``g`` has a triangle, else 4 if it has a 4-cycle, else None.
+
+    A triangle is an edge whose ends share a neighbour.  Failing that,
+    the wedges u-w-x around every middle vertex w are marked, and an end
+    pair u, x seen from two middles closes a 4-cycle.  O(sum of squared
+    degrees).
+    """
+    nbrs = [set(row) for row in g._adj]
+    if any(nbrs[u] & nbrs[v] for u, v in g.edges()):
+        return 3
+    seen: set[int] = set()
+    for row in g._adj:
+        for i, u in enumerate(row):
+            for x in row[i + 1:]:
+                wedge = u * g.n + x
+                if wedge in seen:
+                    return 4
+                seen.add(wedge)
+    return None
 
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:

@@ -21,11 +21,17 @@ independent routes used to cross-validate it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Union
 
 from .constructions import PartitionedInstance
-from .graph import Graph, components, from_edges, induced_subgraph, power
+from .graph import (
+    Graph,
+    components,
+    from_edges,
+    induced_subgraph,
+    power,
+    short_cycle,
+)
 from .matching import maximum_matching
 from .solvers import is_gamma_gamma2_graph
 
@@ -142,18 +148,11 @@ def validate_h(inst: PartitionedInstance) -> HValidationReport:
             len(order),
             [(position[a], position[b]) for a, b in inst.pair_map],
         )
-        for u, v in underlying.edges():
-            if set(underlying.neighbors(u)) & set(underlying.neighbors(v)):
-                failures.append("underlying graph contains a triangle")
-                break
-        else:
-            for u, v in combinations(range(underlying.n), 2):
-                common = set(underlying.neighbors(u)) & set(
-                    underlying.neighbors(v)
-                )
-                if len(common) >= 2:
-                    failures.append("underlying graph contains a 4-cycle")
-                    break
+        girth = short_cycle(underlying)
+        if girth == 3:
+            failures.append("underlying graph contains a triangle")
+        elif girth == 4:
+            failures.append("underlying graph contains a 4-cycle")
 
     return HValidationReport(not failures, underlying, tuple(failures))
 
@@ -329,7 +328,7 @@ def recognize_h(inst: PartitionedInstance) -> RecognitionVerdict:
             if m.size != k:
                 continue
             witness = _trace_ring(
-                inst, center, removed, local, m.mate, pair_of, partner
+                inst, center, removed, local, index, m.mate, pair_of, partner
             )
             return RecognitionVerdict(False, witness, matching_calls)
 
@@ -341,6 +340,7 @@ def _trace_ring(
     center: int,
     removed: tuple[int, int],
     local: list[int],
+    index: dict[int, int],
     mate: tuple[int | None, ...],
     pair_of: dict[int, tuple[int, int]],
     partner: dict[int, int],
@@ -363,12 +363,19 @@ def _trace_ring(
     ]
     exit_vertex = x1_start
     while True:
-        matched = mate[local.index(exit_vertex)]
-        assert matched is not None, "perfect matching must cover every vertex"
+        matched = mate[index[exit_vertex]]
+        if matched is None:
+            raise RuntimeError(
+                f"perfect matching leaves vertex {exit_vertex} unmatched"
+            )
         entry = local[matched]
         next_key = pair_of[entry]
         if next_key == removed:
-            assert entry == x2_start, "ring must close at the broken pair"
+            if entry != x2_start:
+                raise RuntimeError(
+                    f"ring around {center} closes at {entry}, "
+                    f"not at the broken pair's {x2_start}"
+                )
             break
         exit_vertex = partner[entry]
         spokes.append((other_endpoint(next_key), exit_vertex, entry))
@@ -460,7 +467,7 @@ def forbidden_subgraph_check(g: Graph) -> bool:
         return False
     if _has_double_pendant_edge(g):
         return False
-    if _has_triangle(g):
+    if short_cycle(g) == 3:
         return False
     if _has_cycle_of_length_at_least(g, 5):
         return False
@@ -478,12 +485,6 @@ def _has_double_pendant_edge(g: Graph) -> bool:
         if len(side_a) >= 2 and len(side_b) >= 2 and len(side_a | side_b) >= 4:
             return True
     return False
-
-
-def _has_triangle(g: Graph) -> bool:
-    return any(
-        set(g.neighbors(u)) & set(g.neighbors(v)) for u, v in g.edges()
-    )
 
 
 def _has_cycle_of_length_at_least(g: Graph, bound: int) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .graph import Graph, components, induced_subgraph
 
@@ -96,10 +96,12 @@ def _solve_component(adj: list[int], k: int) -> tuple[int, int]:
             return
         # Unit propagation: a vertex short of options is forced, a vertex
         # with exactly as many undecided neighbours as it still needs
-        # forces all of them.
+        # forces all of them.  The pass that forces nothing leaves the
+        # deficient vertices with their option pools.
         while True:
             undecided = full & ~chosen & ~excluded
             forced = 0
+            deficient: list[tuple[int, int, int]] = []  # (vertex, need, options)
             for v in range(n):
                 bit = 1 << v
                 if chosen & bit:
@@ -107,34 +109,24 @@ def _solve_component(adj: list[int], k: int) -> tuple[int, int]:
                 need = k - (adj[v] & chosen).bit_count()
                 if need <= 0:
                     continue
-                avail_mask = adj[v] & undecided
-                avail = avail_mask.bit_count()
+                options = adj[v] & undecided
+                avail = options.bit_count()
                 if excluded & bit:
                     if avail < need:
                         return  # dead branch
                     if avail == need:
-                        forced |= avail_mask
-                elif avail < need:
-                    forced |= bit  # cannot stay outside
+                        forced |= options
+                else:
+                    if avail < need:
+                        forced |= bit  # cannot stay outside
+                    options |= bit
+                deficient.append((v, need, options))
             if not forced:
                 break
             chosen |= forced
             size += forced.bit_count()
             if size >= best:
                 return
-
-        undecided = full & ~chosen & ~excluded
-        deficient: list[tuple[int, int, int]] = []  # (vertex, need, options)
-        for v in range(n):
-            bit = 1 << v
-            if chosen & bit:
-                continue
-            need = k - (adj[v] & chosen).bit_count()
-            if need > 0:
-                options = adj[v] & undecided
-                if undecided & bit:
-                    options |= bit
-                deficient.append((v, need, options))
 
         if not deficient:
             best = size
@@ -218,19 +210,31 @@ def _check_oracle_size(g: Graph, what: str) -> None:
         )
 
 
-def gamma_k_bruteforce(g: Graph, k: int) -> DominationResult:
-    """Subset enumeration by increasing size; the validation oracle."""
+def _k_dominating_by_size(
+    g: Graph, k: int, what: str
+) -> Iterator[Iterator[frozenset[int]]]:
+    """For each size 0..n in turn, a lazy stream of the k-dominating
+    subsets of that size in lexicographic order.  ``what`` names the
+    caller in the size-guard error."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    _check_oracle_size(g, "gamma_k_bruteforce")
+    _check_oracle_size(g, what)
     masks = g.adjacency_masks()
+    bits = [1 << v for v in range(g.n)]
     for size in range(g.n + 1):
-        for combo in combinations(range(g.n), size):
-            subset = 0
-            for v in combo:
-                subset |= 1 << v
-            if _bit_is_k_dominating(masks, subset, g.n, k):
-                return DominationResult(k, size, frozenset(combo))
+        yield (
+            frozenset(v for v in range(g.n) if subset >> v & 1)
+            for subset in map(sum, combinations(bits, size))
+            if _bit_is_k_dominating(masks, subset, g.n, k)
+        )
+
+
+def gamma_k_bruteforce(g: Graph, k: int) -> DominationResult:
+    """Subset enumeration by increasing size; the validation oracle."""
+    sizes = _k_dominating_by_size(g, k, "gamma_k_bruteforce")
+    for size, subsets in enumerate(sizes):
+        for subset in subsets:
+            return DominationResult(k, size, subset)
     raise AssertionError("unreachable: the full vertex set k-dominates")
 
 
@@ -240,21 +244,11 @@ def enumerate_min_k_dominating(g: Graph, k: int) -> list[frozenset[int]]:
     Self-contained: rescans subset sizes from zero rather than trusting
     the branch-and-bound optimum.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    _check_oracle_size(g, "enumerate_min_k_dominating")
-    masks = g.adjacency_masks()
-    for size in range(g.n + 1):
-        found = []
-        for combo in combinations(range(g.n), size):
-            subset = 0
-            for v in combo:
-                subset |= 1 << v
-            if _bit_is_k_dominating(masks, subset, g.n, k):
-                found.append(frozenset(combo))
+    for subsets in _k_dominating_by_size(g, k, "enumerate_min_k_dominating"):
+        found = list(subsets)
         if found:
             return found
-    return [frozenset()]  # n == 0
+    raise AssertionError("unreachable: the full vertex set k-dominates")
 
 
 def is_gamma_gamma2_graph(g: Graph) -> bool:

@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from . import constructions, formats
 from .constructions import (
@@ -29,7 +29,7 @@ from .constructions import (
     random_h_instance,
     reduce_3sat,
 )
-from .graph import Graph, from_edges, is_connected
+from .graph import Graph, from_edges, is_connected, is_independent
 from .matching import brute_force_maximum_matching, maximum_matching
 from .recognition import (
     check_witness,
@@ -48,6 +48,8 @@ from .solvers import (
     is_k_dominating,
     triple_cover_holds,
 )
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -261,26 +263,25 @@ def h_instance_stream(
 # ---------------------------------------------------------------------------
 
 
-def _serialize_graph(g: Graph) -> str:
-    return formats.graph_to_text(g)
+def _fixtures_then_samples(
+    fixtures: Sequence[T], sample: Callable[[int], T], budget: int
+) -> Iterator[T]:
+    """``budget`` items: the fixtures first, then ``sample(i)`` for the
+    1-based positions i after them, drawn only when needed."""
+    for i in range(1, budget + 1):
+        yield fixtures[i - 1] if i <= len(fixtures) else sample(i)
 
 
 def _check_matching_oracle(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
+    def sample(_: int) -> Graph:
+        # the exhaustive oracle takes at most 25 edges: draw again
+        while True:
+            g = random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.35, 0.5]))
+            if g.m <= 25:
+                return g
+
     fixtures = [cycle(4), cycle(5), petersen()]
-    produced = 0
-    for g in fixtures:
-        if produced >= budget:
-            return
-        produced += 1
-        yield (
-            maximum_matching(g).size == brute_force_maximum_matching(g).size,
-            _serialize_graph(g),
-        )
-    while produced < budget:
-        produced += 1
-        g = random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.35, 0.5]))
-        if g.m > 25:
-            continue
+    for g in _fixtures_then_samples(fixtures, sample, budget):
         blossom = maximum_matching(g)
         ok = blossom.size == brute_force_maximum_matching(g).size
         # the matching itself must be valid
@@ -289,23 +290,24 @@ def _check_matching_oracle(rng: random.Random, budget: int) -> Iterator[tuple[bo
             if not g.has_edge(u, v) or u in seen or v in seen:
                 ok = False
             seen.update((u, v))
-        yield ok, _serialize_graph(g)
+        yield ok, formats.graph_to_text(g)
 
 
 def _check_gamma_lower_bound(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
-    # For max degree >= k >= 2: gamma_k >= gamma + k - 2.
+    # For max degree >= k >= 2: gamma_k >= gamma + k - 2.  Graphs of
+    # maximum degree below 2 test nothing, so they are drawn again.
     for _ in range(budget):
-        g = random_graph(rng, rng.randint(2, 12), rng.choice([0.2, 0.4, 0.6]))
-        if g.n == 0 or g.max_degree() == 0:
-            yield True, ""
-            continue
+        while True:
+            g = random_graph(rng, rng.randint(2, 12), rng.choice([0.2, 0.4, 0.6]))
+            if g.max_degree() >= 2:
+                break
         base = gamma_k(g, 1).number
         ok = True
         for k in (2, 3):
             if g.max_degree() >= k:
                 if gamma_k(g, k).number < base + k - 2:
                     ok = False
-        yield ok, _serialize_graph(g)
+        yield ok, formats.graph_to_text(g)
 
 
 def _equality_graphs(rng: random.Random, budget: int) -> Iterator[Graph]:
@@ -323,17 +325,15 @@ def _equality_graphs(rng: random.Random, budget: int) -> Iterator[Graph]:
 def _check_min_degree_necessity(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
     # Connected non-trivial graphs with gamma == gamma_2 have min degree >= 2.
     for g in _equality_graphs(rng, budget):
-        yield g.min_degree() >= 2, _serialize_graph(g)
+        yield g.min_degree() >= 2, formats.graph_to_text(g)
 
 
 def _check_min_2domset_independence(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
-    from .graph import is_independent
-
     for g in _equality_graphs(rng, budget):
         ok = all(
             is_independent(g, dd) for dd in enumerate_min_k_dominating(g, 2)
         )
-        yield ok, _serialize_graph(g)
+        yield ok, formats.graph_to_text(g)
 
 
 def _check_private_pair_structure(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
@@ -368,7 +368,7 @@ def _check_private_pair_structure(rng: random.Random, budget: int) -> Iterator[t
                     break
             if not ok:
                 break
-        yield ok, _serialize_graph(g)
+        yield ok, formats.graph_to_text(g)
 
 
 def _check_specified_set_2domination(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
@@ -385,24 +385,14 @@ def _check_specified_set_2domination(rng: random.Random, budget: int) -> Iterato
 
 
 def _check_join_c4_collapse(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
-    corpus = all_four_vertex_graphs()
-    produced = 0
-    for f in corpus:
-        if produced >= budget:
-            return
-        produced += 1
+    def sample(_: int) -> Graph:
+        return random_graph(rng, rng.randint(1, 6), 0.4)
+
+    for f in _fixtures_then_samples(all_four_vertex_graphs(), sample, budget):
         g = join_c4(f)
         yield (
             gamma_k(g, 1).number == 2 and gamma_k(g, 2).number == 2,
-            _serialize_graph(g),
-        )
-    while produced < budget:
-        produced += 1
-        f = random_graph(rng, rng.randint(1, 6), 0.4)
-        g = join_c4(f)
-        yield (
-            gamma_k(g, 1).number == 2 and gamma_k(g, 2).number == 2,
-            _serialize_graph(g),
+            formats.graph_to_text(g),
         )
 
 
@@ -431,20 +421,15 @@ def _check_recognition_cross_validation(rng: random.Random, budget: int) -> Iter
 
 
 def _check_sat_reduction(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
-    produced = 0
-    for f in (UNSAT_COVERED_6, UNSAT_COVERED_7):
-        if produced >= budget:
-            return
-        produced += 1
-        yield _sat_reduction_case(f, require_equivalence=True)
-    while produced < budget:
-        produced += 1
-        if produced % 3 == 0:
-            f = random_formula(rng, rng.randint(3, 6), rng.randint(1, 8))
-            yield _sat_reduction_case(f, require_equivalence=False)
-        else:
-            f = covered_formula(rng, rng.choice([6, 7]))
-            yield _sat_reduction_case(f, require_equivalence=True)
+    # (formula, whether the triple-cover equivalence must hold)
+    def sample(i: int) -> tuple[CnfFormula, bool]:
+        if i % 3 == 0:
+            return random_formula(rng, rng.randint(3, 6), rng.randint(1, 8)), False
+        return covered_formula(rng, rng.choice([6, 7])), True
+
+    fixtures = [(UNSAT_COVERED_6, True), (UNSAT_COVERED_7, True)]
+    for f, require_equivalence in _fixtures_then_samples(fixtures, sample, budget):
+        yield _sat_reduction_case(f, require_equivalence)
 
 
 def _sat_reduction_case(f: CnfFormula, require_equivalence: bool) -> tuple[bool, str]:
@@ -473,15 +458,11 @@ def _check_perfect_triple_agreement(rng: random.Random, budget: int) -> Iterator
     fixtures.append(constructions.complete(4))
     fixtures.append(petersen())
     fixtures += t6_augmented_fixtures()
-    produced = 0
-    for g in fixtures:
-        if produced >= budget:
-            return
-        produced += 1
-        yield _triple_agreement_case(g)
-    while produced < budget:
-        produced += 1
-        g = random_connected_min_degree2(rng, 4, 10)
+
+    def sample(_: int) -> Graph:
+        return random_connected_min_degree2(rng, 4, 10)
+
+    for g in _fixtures_then_samples(fixtures, sample, budget):
         yield _triple_agreement_case(g)
 
 
@@ -501,7 +482,7 @@ def _triple_agreement_case(g: Graph) -> tuple[bool, str]:
     structural = recognize_perfect(g).perfect
     forbidden = forbidden_subgraph_check(g)
     oracle = perfect_oracle(g)
-    return structural == forbidden == oracle, _serialize_graph(g)
+    return structural == forbidden == oracle, formats.graph_to_text(g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Core graph container and operations."""
 
+import random
+from itertools import combinations, permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +15,9 @@ from gamma2 import (
     is_independent,
     power,
 )
-from gamma2.constructions import complete, cycle, path
+from gamma2.constructions import complete, cycle, path, petersen
+from gamma2.graph import short_cycle
+from gamma2.verify import random_graph
 
 
 def edge_lists(max_n: int = 10):
@@ -149,3 +154,36 @@ def test_adjacency_masks():
     assert masks[0] == (1 << 1) | (1 << 3)
     assert masks[2] == (1 << 1) | (1 << 3)
 
+
+def _short_cycle_brute_force(g):
+    for a, b, c in combinations(range(g.n), 3):
+        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c):
+            return 3
+    for quad in combinations(range(g.n), 4):
+        for a, b, c, d in permutations(quad):
+            if all(g.has_edge(u, v) for u, v in ((a, b), (b, c), (c, d), (d, a))):
+                return 4
+    return None
+
+
+@given(edge_lists(8))
+def test_short_cycle_matches_brute_force(ne):
+    n, edges = ne
+    g = from_edges(n, edges)
+    assert short_cycle(g) == _short_cycle_brute_force(g)
+
+
+def test_short_cycle_matches_networkx_girth():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random("short-cycle")
+    corpus = [cycle(n) for n in range(3, 8)] + [complete(4), petersen(), path(5)]
+    corpus += [
+        random_graph(rng, rng.randint(1, 30), rng.choice([0.05, 0.1, 0.2, 0.4]))
+        for _ in range(300)
+    ]
+    for g in corpus:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        girth = nx.girth(h)
+        assert short_cycle(g) == (girth if girth in (3, 4) else None)

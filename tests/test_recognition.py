@@ -97,10 +97,11 @@ def test_validate_rejects_adjacent_pair():
 
 
 def test_validate_rejects_short_cycles_in_underlying():
-    triangle = double_subdivision(complete(3))
-    report = validate_h(triangle)
-    assert not report.valid
-    assert any("triangle" in msg for msg in report.failures)
+    for f in (complete(3), complete(4)):  # K4 also has 4-cycles
+        report = validate_h(double_subdivision(f))
+        assert not report.valid
+        assert any("triangle" in msg for msg in report.failures)
+        assert not any("4-cycle" in msg for msg in report.failures)
     square = double_subdivision(cycle(4))
     report = validate_h(square)
     assert not report.valid

@@ -15,6 +15,13 @@ def test_all_checks_pass_at_small_budget():
         assert check.counterexample is None
 
 
+def test_default_run_tests_every_budgeted_instance():
+    report = run_verify(seed=0)
+    assert report.ok
+    for check in report.checks:
+        assert check.instances == _CHECKS[check.name][1], check.name
+
+
 def test_reports_are_deterministic():
     a = run_verify(seed=3, budget=5)
     b = run_verify(seed=3, budget=5)

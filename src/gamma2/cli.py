@@ -39,8 +39,6 @@ from .constructions import (
 from .graph import Graph
 from .matching import maximum_matching
 from .recognition import (
-    AWitness,
-    BWitness,
     InvalidHInstanceError,
     perfect_oracle,
     recognize_h,
@@ -146,17 +144,8 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
             print("EQUAL")
             print(f"matching calls: {verdict.matching_calls}")
             return 0
-        w = verdict.witness
         print("NOT-EQUAL")
-        if isinstance(w, BWitness):
-            print(
-                "certificate: bridge "
-                f"v1={w.v1} u1={w.u1} x1=({w.x1[0]},{w.x1[1]}) "
-                f"v2={w.v2} u2={w.u2} x2=({w.x2[0]},{w.x2[1]})"
-            )
-        elif isinstance(w, AWitness):
-            spokes = " ".join(f"({a},{b},{c})" for a, b, c in w.spokes)
-            print(f"certificate: ring center={w.center} spokes={spokes}")
+        print(verdict.witness.certificate())
         print(f"matching calls: {verdict.matching_calls}")
         return 1
     # perfect

@@ -53,22 +53,45 @@ def _matching_from_mate(mate: list[int]) -> Matching:
     return Matching(tuple(None if p == -1 else p for p in mate))
 
 
-def maximum_matching(g: Graph) -> Matching:
+def maximum_matching(g: Graph, initial: Matching | None = None) -> Matching:
     """Maximum-cardinality matching of ``g``.
 
-    Deterministic: scans vertices and neighbours in index order.
+    Deterministic: scans vertices and neighbours in index order.  Starts
+    from a greedy matching, or from ``initial`` (a matching of ``g``;
+    ``ValueError`` if it is not one) when given, so a matching that is
+    one edge short of maximum costs a single augmenting search.
     """
     n = g.n
     mate = [-1] * n
 
-    # Greedy initial matching saves most of the augmenting phases.
-    for v in range(n):
-        if mate[v] == -1:
-            for u in g.neighbors(v):
-                if mate[u] == -1:
-                    mate[v] = u
-                    mate[u] = v
-                    break
+    if initial is None:
+        # Greedy initial matching saves most of the augmenting phases.
+        for v in range(n):
+            if mate[v] == -1:
+                for u in g.neighbors(v):
+                    if mate[u] == -1:
+                        mate[v] = u
+                        mate[u] = v
+                        break
+    else:
+        if len(initial.mate) != n:
+            raise ValueError(
+                f"initial matching is over {len(initial.mate)} vertices, "
+                f"graph has {n}"
+            )
+        for v, u in enumerate(initial.mate):
+            if u is None:
+                continue
+            if not g.has_edge(v, u):
+                raise ValueError(
+                    f"initial matching pairs {v} with {u}, which is not an edge"
+                )
+            if initial.mate[u] != v:
+                raise ValueError(
+                    f"initial matching is not symmetric: mate of {v} is {u}, "
+                    f"mate of {u} is {initial.mate[u]}"
+                )
+            mate[v] = u
 
     parent = [-1] * n   # BFS tree parent (over even vertices)
     base = list(range(n))  # base vertex of the blossom containing v
@@ -134,12 +157,20 @@ def maximum_matching(g: Graph) -> Matching:
                     queue.append(mate[u])
         return -1
 
+    # A vertex with no augmenting path never gets one after later
+    # augmentations (Edmonds), so every path still to be found joins two
+    # exposed roots not yet searched: stop when fewer than two remain.
+    unsearched = mate.count(-1)
     for root in range(n):
         if mate[root] != -1:
             continue
+        if unsearched < 2:
+            break
+        unsearched -= 1
         end = find_augmenting_path(root)
         if end == -1:
             continue
+        unsearched -= 1
         # Flip matched/unmatched edges along the path back to the root.
         while end != -1:
             prev = parent[end]

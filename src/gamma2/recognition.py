@@ -32,7 +32,7 @@ from .graph import (
     power,
     short_cycle,
 )
-from .matching import maximum_matching
+from .matching import Matching, maximum_matching
 from .solvers import is_gamma_gamma2_graph
 
 FORBIDDEN_CHECK_VERTEX_LIMIT = 14
@@ -186,6 +186,14 @@ class BWitness:
     def vertices(self) -> tuple[int, ...]:
         return (self.v1, self.u1, *self.x1, self.v2, self.u2, *self.x2)
 
+    def certificate(self) -> str:
+        """The ``certificate:`` line that ``gamma2 recognize h`` prints."""
+        return (
+            "certificate: bridge "
+            f"v1={self.v1} u1={self.u1} x1=({self.x1[0]},{self.x1[1]}) "
+            f"v2={self.v2} u2={self.u2} x2=({self.x2[0]},{self.x2[1]})"
+        )
+
 
 @dataclass(frozen=True)
 class AWitness:
@@ -200,6 +208,11 @@ class AWitness:
         for w, x1, x2 in self.spokes:
             out += [w, x1, x2]
         return tuple(out)
+
+    def certificate(self) -> str:
+        """The ``certificate:`` line that ``gamma2 recognize h`` prints."""
+        spokes = " ".join(f"({w},{x1},{x2})" for w, x1, x2 in self.spokes)
+        return f"certificate: ring center={self.center} spokes={spokes}"
 
 
 Witness = Union[AWitness, BWitness]
@@ -263,9 +276,12 @@ def recognize_h(inst: PartitionedInstance) -> RecognitionVerdict:
     """Decide gamma == gamma_2 for a subdivision instance whose
     underlying graph has girth >= 5.
 
-    Runs in polynomial time: one scan over the supplementary edges, then
-    one auxiliary matching problem per (D-vertex, incident pair).  Raises
-    :class:`InvalidHInstanceError` on malformed input.
+    Near-linear: one pass over the instance (validation, the bridge scan
+    over the supplementary edges, and each D-vertex's incident pairs and
+    local graph built from the rows of its own neighbours), plus one
+    augmenting-path search per (D-vertex, incident pair) on that
+    D-vertex's local graph, warm-started from the other pairs' edges.
+    Raises :class:`InvalidHInstanceError` on malformed input.
     """
     report = validate_h(inst)
     if not report.valid:
@@ -296,36 +312,45 @@ def recognize_h(inst: PartitionedInstance) -> RecognitionVerdict:
         )
         return RecognitionVerdict(False, witness)
 
-    # Ring scan: around each D-vertex, drop one pair's internal edge and
-    # look for a perfect matching among its subdivision vertices; success
-    # traces a cycle of pairs.
+    # Ring scan: around each D-vertex the pair edges form a perfect
+    # matching M0 of its neighbourhood.  A ring through one pair is an
+    # M0-alternating cycle through that pair's edge, so drop the edge from
+    # the local graph and from M0: one augmenting search restores a
+    # perfect matching iff the ring exists, and success traces it.
+    incident: dict[int, list[tuple[int, int]]] = {v: [] for v in d}
+    for key in inst.pair_map:
+        incident[key[0]].append(key)
+        incident[key[1]].append(key)
     matching_calls = 0
     for center in sorted(d):
-        incident = sorted(
-            key for key in inst.pair_map if center in key
-        )
-        if len(incident) < 2:
+        keys = sorted(incident[center])
+        if len(keys) < 2:
             continue
         local = sorted(g.neighbors(center))
         index = {v: i for i, v in enumerate(local)}
-        base_edges = [
-            (index[u], index[v])
-            for u, v in g.edges()
-            if u in index and v in index
+        rows = [
+            [index[u] for u in g.neighbors(v) if u in index] for v in local
         ]
-        pair_edges = {
-            key: (index[inst.pair_map[key][0]], index[inst.pair_map[key][1]])
-            for key in incident
-        }
-        k = len(incident)
-        for removed in incident:
-            aux_edges = base_edges + [
-                pair_edges[key] for key in incident if key != removed
-            ]
-            aux = from_edges(len(local), aux_edges)
+        pair_mate: list[int | None] = [None] * len(local)
+        ends = []
+        for key in keys:
+            x1, x2 = inst.pair_map[key]
+            i, j = index[x1], index[x2]
+            rows[i].append(j)
+            rows[j].append(i)
+            pair_mate[i], pair_mate[j] = j, i
+            ends.append((key, i, j))
+        for removed, i, j in ends:
+            aux_rows = rows.copy()
+            aux_rows[i] = [u for u in rows[i] if u != j]
+            aux_rows[j] = [u for u in rows[j] if u != i]
+            start = pair_mate.copy()
+            start[i] = start[j] = None
             matching_calls += 1
-            m = maximum_matching(aux)
-            if m.size != k:
+            m = maximum_matching(
+                Graph(len(local), aux_rows), initial=Matching(tuple(start))
+            )
+            if m.size != len(keys):
                 continue
             witness = _trace_ring(
                 inst, center, removed, local, index, m.mate, pair_of, partner
@@ -451,18 +476,21 @@ def _is_center(g: Graph, center: int) -> bool:
 def forbidden_subgraph_check(g: Graph) -> bool:
     """Second route to hereditary equality, via forbidden subgraphs.
 
-    True iff ``g`` is connected with minimum degree >= 2 and contains no
-    double-pendant edge (T6), no path on eight vertices and no cycle of
+    True iff every component of ``g`` has minimum degree >= 2 and contains
+    no double-pendant edge (T6), no path on eight vertices and no cycle of
     length other than four, all as not-necessarily-induced subgraphs.
-    Guarded to at most 14 vertices.
+    Every forbidden pattern is connected, so the whole graph contains one
+    iff some component does: a disjoint union passes iff each component
+    does, and the empty graph passes vacuously.  Guarded to at most 14
+    vertices.
     """
     if g.n > FORBIDDEN_CHECK_VERTEX_LIMIT:
         raise ValueError(
             f"forbidden_subgraph_check accepts at most "
             f"{FORBIDDEN_CHECK_VERTEX_LIMIT} vertices, got {g.n}"
         )
-    if g.n == 0 or len(components(g)) != 1:
-        return False
+    if g.n == 0:
+        return True
     if g.min_degree() < 2:
         return False
     if _has_double_pendant_edge(g):

@@ -458,6 +458,14 @@ def _check_perfect_triple_agreement(rng: random.Random, budget: int) -> Iterator
     fixtures.append(constructions.complete(4))
     fixtures.append(petersen())
     fixtures += t6_augmented_fixtures()
+    # C4 + C4 and C4 + C5: on disjoint unions the routes agree per component
+    fixtures += [
+        from_edges(
+            4 + n,
+            cycle(4).edge_list() + [(u + 4, v + 4) for u, v in cycle(n).edge_list()],
+        )
+        for n in (4, 5)
+    ]
 
     def sample(_: int) -> Graph:
         return random_connected_min_degree2(rng, 4, 10)

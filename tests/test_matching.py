@@ -1,5 +1,7 @@
 """Maximum matching: blossom implementation against exhaustive search."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +13,8 @@ from gamma2 import (
     maximum_matching,
 )
 from gamma2.constructions import complete, cycle, path, petersen
-from gamma2.matching import BRUTE_FORCE_EDGE_LIMIT
+from gamma2.matching import BRUTE_FORCE_EDGE_LIMIT, Matching
+from gamma2.verify import random_graph
 
 
 def assert_valid_matching(g, m):
@@ -67,10 +70,13 @@ def test_brute_force_rejects_large_graphs():
         brute_force_maximum_matching(g)
 
 
-@given(
+edge_lists = (
     st.integers(1, 9),
     st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=22),
 )
+
+
+@given(*edge_lists)
 def test_blossom_agrees_with_exhaustive_search(n, raw_edges):
     edges = [(u % n, v % n) for u, v in raw_edges if u % n != v % n]
     g = from_edges(n, edges)
@@ -81,6 +87,53 @@ def test_blossom_agrees_with_exhaustive_search(n, raw_edges):
     assert fast.size == slow.size
     assert_valid_matching(g, fast)
     assert_valid_matching(g, slow)
+
+
+@given(*edge_lists, st.randoms(use_true_random=False))
+def test_warm_start_reaches_a_maximum_matching(n, raw_edges, rng):
+    edges = [(u % n, v % n) for u, v in raw_edges if u % n != v % n]
+    g = from_edges(n, edges)
+    if g.m > BRUTE_FORCE_EDGE_LIMIT:
+        return
+    # a random sub-matching of a random greedy matching
+    mate = [None] * n
+    order = g.edge_list()
+    rng.shuffle(order)
+    for u, v in order:
+        if mate[u] is None and mate[v] is None and rng.random() < 0.7:
+            mate[u], mate[v] = v, u
+    warm = maximum_matching(g, initial=Matching(tuple(mate)))
+    assert_valid_matching(g, warm)
+    assert warm.size == maximum_matching(g).size
+    assert warm.size == brute_force_maximum_matching(g).size
+
+
+@pytest.mark.parametrize(
+    "mate,message",
+    [
+        ((1, 0, None), "over 3 vertices, graph has 4"),
+        ((1, None, None, None), "not symmetric"),
+        ((2, None, 0, None), "not an edge"),
+        ((None, None, None, 3), "not an edge"),
+    ],
+)
+def test_warm_start_rejects_invalid_initial_matching(mate, message):
+    with pytest.raises(ValueError, match=message):
+        maximum_matching(path(4), initial=Matching(mate))
+
+
+def test_blossom_size_matches_networkx():
+    # beyond the exhaustive oracle's 25 edges
+    nx = pytest.importorskip("networkx")
+    rng = random.Random("matching-size")
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(30, 60), rng.choice([0.06, 0.1, 0.15]))
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        m = maximum_matching(g)
+        assert_valid_matching(g, m)
+        assert m.size == len(nx.max_weight_matching(h, maxcardinality=True))
 
 
 def test_disconnected_graph():

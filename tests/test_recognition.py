@@ -1,6 +1,10 @@
 """Recognition: equality decision on subdivision instances, and the three
 routes to hereditary equality."""
 
+import random
+import time
+from itertools import combinations
+
 import pytest
 
 from gamma2 import (
@@ -23,7 +27,15 @@ from gamma2 import (
     recognize_perfect,
     validate_h,
 )
-from gamma2.constructions import complete, cycle, path, petersen, star
+from gamma2.constructions import (
+    ConstructionSpec,
+    build,
+    complete,
+    cycle,
+    path,
+    petersen,
+    star,
+)
 from gamma2.recognition import (
     FORBIDDEN_CHECK_VERTEX_LIMIT,
     PERFECT_ORACLE_VERTEX_LIMIT,
@@ -184,6 +196,33 @@ def test_recognize_agrees_with_oracle_on_random_instances():
             assert check_witness(inst.g, inst.d, verdict.witness)
 
 
+def test_recognize_scales_to_large_trees():
+    # supplementary edges join the first subdivision vertices of pairs
+    # sharing a D-vertex: plenty of matching work, and never an obstruction
+    rng = random.Random("large-tree")
+    n = 10_000
+    f = from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)])
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for t, (u, v) in enumerate(f.edge_list()):
+        incident[u].append(n + 2 * t)
+        incident[v].append(n + 2 * t)
+    supp = tuple(
+        (x, y)
+        for firsts in incident
+        for x, y in combinations(firsts, 2)
+        if rng.random() < 0.5
+    )
+    inst = build(ConstructionSpec(f, supp_edges=supp))
+    start = time.perf_counter()
+    verdict = recognize_h(inst)
+    elapsed = time.perf_counter() - start
+    assert verdict.equal
+    assert verdict.matching_calls == 2 * f.m - sum(
+        1 for v in range(n) if f.degree(v) == 1
+    )
+    assert elapsed < 10.0
+
+
 # --- hereditary equality ---------------------------------------------------
 
 
@@ -233,6 +272,20 @@ def test_forbidden_subgraph_route():
          (7, 8), (8, 6), (5, 3)],
     )
     assert not forbidden_subgraph_check(chain)
+
+
+@pytest.mark.parametrize(
+    "g,perfect",
+    [
+        (from_edges(8, cycle(4).edge_list() + shift(cycle(4), 4, 4)), True),
+        (from_edges(9, cycle(4).edge_list() + shift(cycle(5), 4, 5)), False),
+        (from_edges(0, []), True),
+    ],
+)
+def test_three_routes_agree_on_disjoint_unions_and_empty_graph(g, perfect):
+    assert recognize_perfect(g).perfect == perfect
+    assert forbidden_subgraph_check(g) == perfect
+    assert perfect_oracle(g) == perfect
 
 
 def test_perfect_oracle_small_cases():

@@ -44,7 +44,7 @@ from .recognition import (
     recognize_h,
     recognize_perfect,
 )
-from .solvers import gamma_k, is_gamma_gamma2_graph
+from .solvers import gamma_and_gamma2, gamma_k
 from .verify import run_verify
 
 
@@ -169,9 +169,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         ok = perfect_oracle(g)
         print("PERFECT" if ok else "NOT-PERFECT")
         return 0 if ok else 1
-    gamma = gamma_k(g, 1).number
-    gamma2 = gamma_k(g, 2).number
-    ok = is_gamma_gamma2_graph(g)
+    gamma, gamma2 = gamma_and_gamma2(g)
+    ok = gamma == gamma2
     print(f"gamma = {gamma}, gamma_2 = {gamma2}")
     print("EQUAL" if ok else "NOT-EQUAL")
     return 0 if ok else 1

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gamma2 import formats
+from gamma2 import cli, formats, solvers
 from gamma2.cli import main
 from gamma2.constructions import cycle, petersen
 
@@ -120,6 +120,33 @@ def test_oracle_subcommands(capsys, c4_file, c5_file):
     assert main(["oracle", "gamma-eq", c5_file]) == 1
     out = capsys.readouterr().out
     assert "gamma = 2, gamma_2 = 3" in out and "NOT-EQUAL" in out
+
+
+def test_oracle_gamma_eq_guards_before_solving_once_each(
+    tmp_path, capsys, monkeypatch, c5_file
+):
+    calls = []
+    real = solvers.gamma_k
+
+    def counting(g, k):
+        calls.append(k)
+        return real(g, k)
+
+    monkeypatch.setattr(solvers, "gamma_k", counting)
+    monkeypatch.setattr(cli, "gamma_k", counting)
+    assert main(["oracle", "gamma-eq", c5_file]) == 1
+    assert sorted(calls) == [1, 2]
+    assert capsys.readouterr().out.splitlines() == [
+        "gamma = 2, gamma_2 = 3",
+        "NOT-EQUAL",
+    ]
+    calls.clear()
+    big = tmp_path / "c23.txt"
+    big.write_text(formats.graph_to_text(cycle(23)))
+    assert main(["oracle", "gamma-eq", str(big)]) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and "at most 22 vertices" in captured.err
 
 
 def test_reduce_reports_precondition(tmp_path, capsys):

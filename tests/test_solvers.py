@@ -1,10 +1,11 @@
 """Exact k-domination solvers and the 3-CNF helpers."""
 
 import random
+import time
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamma2 import (
@@ -19,7 +20,11 @@ from gamma2 import (
     triple_cover_holds,
 )
 from gamma2.constructions import complete, cycle, path, star
-from gamma2.solvers import BRUTE_FORCE_VERTEX_LIMIT, SAT_VARIABLE_LIMIT
+from gamma2.solvers import (
+    BRUTE_FORCE_VERTEX_LIMIT,
+    SAT_VARIABLE_LIMIT,
+    _greedy_cover_mask,
+)
 from gamma2.verify import UNSAT_COVERED_6, UNSAT_COVERED_7, covered_formula
 
 
@@ -53,6 +58,9 @@ def test_small_fixed_values():
     assert gamma_k(star(6), 1).number == 1
     assert gamma_k(star(6), 2).number == 6
     assert gamma_k(path(4), 1).number == 2
+    # P5 numbered centre first: the greedy takes the centre and needs three,
+    # so only a counting bound of exactly ceil(5 / (2 + 1)) = 2 is sound.
+    assert gamma_k(from_edges(5, [(0, 1), (0, 2), (1, 4), (2, 3)]), 1).number == 2
     assert gamma_k(from_edges(0, []), 1).number == 0
     assert gamma_k(from_edges(1, []), 2).number == 1
 
@@ -77,6 +85,74 @@ def test_branch_and_bound_agrees_with_bruteforce(n, raw_edges, k):
     assert fast.number == slow.number
     assert is_k_dominating(g, fast.witness, k)
     assert len(fast.witness) == fast.number
+
+
+def _seeded_graph(n, p, seed):
+    """G(n, p) from a seed: denser than shrunk hypothesis edge lists."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return from_edges(n, [e for e in pairs if rng.random() < p])
+
+
+densities = st.sampled_from([0.15, 0.25, 0.4])
+seeds = st.integers(0, 2**32)
+
+
+@settings(max_examples=40)
+@given(st.integers(11, 16), densities, seeds, st.integers(1, 3))
+def test_branch_and_bound_agrees_with_bruteforce_on_larger_graphs(
+    n, p, seed, k
+):
+    # Sizes and densities where the greedy start is often above the
+    # optimum, so the counting bound sum(need) / (max degree + k) prunes
+    # real subtrees.
+    g = _seeded_graph(n, p, seed)
+    fast = gamma_k(g, k)
+    assert fast.number == gamma_k_bruteforce(g, k).number
+    assert is_k_dominating(g, fast.witness, k)
+    assert len(fast.witness) == fast.number
+
+
+def _reference_greedy_cover_mask(adj: list[int], k: int) -> int:
+    """The rescanning greedy that ``_greedy_cover_mask`` must reproduce."""
+    n = len(adj)
+    chosen = 0
+    for v in range(n):
+        if adj[v].bit_count() < k:
+            chosen |= 1 << v  # can never be k-dominated from outside
+    while True:
+        needs = {}
+        for v in range(n):
+            if chosen >> v & 1:
+                continue
+            need = k - (adj[v] & chosen).bit_count()
+            if need > 0:
+                needs[v] = need
+        if not needs:
+            return chosen
+        best_v, best_score = -1, -1
+        for u in range(n):
+            if chosen >> u & 1:
+                continue
+            score = sum(1 for v in needs if adj[v] >> u & 1)
+            score += needs.get(u, 0)
+            if score > best_score:
+                best_v, best_score = u, score
+        chosen |= 1 << best_v
+
+
+@given(st.integers(1, 14), densities, seeds, st.integers(1, 3))
+def test_incremental_greedy_matches_rescanning_reference(n, p, seed, k):
+    adj = _seeded_graph(n, p, seed).adjacency_masks()
+    assert _greedy_cover_mask(adj, k) == _reference_greedy_cover_mask(adj, k)
+
+
+@pytest.mark.parametrize("n, k", [(1500, 1), (400, 2)])
+def test_gamma_k_scales_on_long_cycles(n, k):
+    # Greedy and counting bound both reach kn / (2 + k): no search needed.
+    start = time.perf_counter()
+    assert gamma_k(cycle(n), k).number == k * n // (2 + k)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_bruteforce_rejects_large_graphs():

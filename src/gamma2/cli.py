@@ -8,7 +8,7 @@ One binary, subcommand style::
     gamma2 match graph.txt             # maximum matching
     gamma2 recognize h inst.json       # matching-based equality decision
     gamma2 recognize perfect graph.txt # hereditary-equality recognizer
-    gamma2 oracle gamma-eq graph.txt   # brute-force cross-checks
+    gamma2 oracle gamma-eq graph.txt   # exact gamma vs gamma_2 (n <= 22)
     gamma2 reduce formula.cnf          # 3-SAT to domination-gap instance
     gamma2 verify --seed 0             # run every cross-validation suite
 
@@ -244,7 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="instance JSON for h, graph file for perfect; - for stdin")
     recog.set_defaults(func=_cmd_recognize)
 
-    oracle = sub.add_parser("oracle", help="brute-force cross-checks")
+    oracle = sub.add_parser(
+        "oracle",
+        help="definitional hereditary oracle (perfect, n <= 13) or exact "
+        "gamma vs gamma_2 (gamma-eq, n <= 22)",
+    )
     oracle.add_argument("what", choices=("perfect", "gamma-eq"))
     oracle.add_argument("target", help="graph file, or - for stdin")
     oracle.set_defaults(func=_cmd_oracle)

@@ -394,6 +394,32 @@ def reduce_3sat(f: CnfFormula) -> SatReduction:
 # ---------------------------------------------------------------------------
 
 
+def random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    """G(n, p): each of the n(n-1)/2 pairs is an edge with probability p."""
+    return from_edges(
+        n, [e for e in combinations(range(n), 2) if rng.random() < p]
+    )
+
+
+def _random_supp_edges(
+    rng: random.Random, f: Graph, n_y: int, p: float
+) -> tuple[tuple[int, int], ...]:
+    """Supplementary edges for a build of ``f`` with ``n_y`` Y-vertices:
+    each pair of non-D vertices with probability ``p``, except the two
+    vertices of one subdivision pair, which must stay independent."""
+    d = f.n
+    x_end = d + 2 * f.m
+    total = x_end + n_y
+    supp = []
+    for u in range(d, total):
+        for v in range(u + 1, total):
+            if v < x_end and (u - d) // 2 == (v - d) // 2:
+                continue
+            if rng.random() < p:
+                supp.append((u, v))
+    return tuple(supp)
+
+
 def random_h_instance(
     f_size: int,
     f_edge_prob: float,
@@ -408,27 +434,11 @@ def random_h_instance(
     pair.
     """
     rng = random.Random(seed)
-    f = None
     for _ in range(RANDOM_INSTANCE_ATTEMPTS):
-        candidate_edges = [
-            (u, v)
-            for u, v in combinations(range(f_size), 2)
-            if rng.random() < f_edge_prob
-        ]
-        candidate = from_edges(f_size, candidate_edges)
-        if short_cycle(candidate) is None:
-            f = candidate
+        f = random_graph(rng, f_size, f_edge_prob)
+        if short_cycle(f) is None:
             break
-    if f is None:
+    else:
         return None
-
-    x_first = f.n
-    x_last = f.n + 2 * f.m - 1
-    supp = []
-    for u in range(x_first, x_last + 1):
-        for v in range(u + 1, x_last + 1):
-            if (u - f.n) // 2 == (v - f.n) // 2:
-                continue  # same pair: must stay independent
-            if rng.random() < supp_edge_prob:
-                supp.append((u, v))
-    return build(ConstructionSpec(f, supp_edges=tuple(supp)))
+    supp = _random_supp_edges(rng, f, 0, supp_edge_prob)
+    return build(ConstructionSpec(f, supp_edges=supp))

@@ -20,14 +20,21 @@ from . import constructions, formats
 from .constructions import (
     ConstructionSpec,
     PartitionedInstance,
+    _random_supp_edges,
     all_four_vertex_graphs,
     build,
     cycle,
+    double_subdivision,
+    gadget_a,
+    gadget_b,
     gadget_s,
     join_c4,
+    path,
     petersen,
+    random_graph,
     random_h_instance,
     reduce_3sat,
+    star,
 )
 from .graph import Graph, from_edges, is_connected, is_independent
 from .matching import brute_force_maximum_matching, maximum_matching
@@ -114,12 +121,6 @@ class VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    return from_edges(
-        n, [e for e in combinations(range(n), 2) if rng.random() < p]
-    )
-
-
 def random_connected_min_degree2(
     rng: random.Random, n_low: int, n_high: int
 ) -> Graph:
@@ -159,22 +160,6 @@ def random_general_spec(rng: random.Random, d_max: int = 6) -> ConstructionSpec:
             y_specs.append(frozenset(rng.choice(cliques)))
     supp = _random_supp_edges(rng, f, len(y_specs), 0.1)
     return ConstructionSpec(f, tuple(y_specs), supp)
-
-
-def _random_supp_edges(
-    rng: random.Random, f: Graph, n_y: int, p: float
-) -> tuple[tuple[int, int], ...]:
-    d = f.n
-    x_end = d + 2 * f.m
-    total = x_end + n_y
-    supp = []
-    for u in range(d, total):
-        for v in range(u + 1, total):
-            if v < x_end and (u - d) // 2 == (v - d) // 2:
-                continue
-            if rng.random() < p:
-                supp.append((u, v))
-    return tuple(supp)
 
 
 def random_formula(rng: random.Random, k: int, n_clauses: int) -> CnfFormula:
@@ -409,11 +394,16 @@ def _check_underlying_roundtrip(rng: random.Random, budget: int) -> Iterator[tup
 
 
 def _check_recognition_cross_validation(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
+    # Both verdicts among the fixtures: double subdivisions are equality
+    # graphs, the bridge and ring gadgets are not.
+    fixtures = [double_subdivision(f) for f in (path(3), star(4), cycle(5))]
+    fixtures += [gadget_b()] + [gadget_a(k) for k in (2, 3, 4)]
     stream = h_instance_stream(seed=rng.randrange(1 << 30))
-    for _ in range(budget):
-        inst = next(stream)
+    for inst in _fixtures_then_samples(fixtures, lambda _: next(stream), budget):
         verdict = recognize_h(inst)
         ok = verdict.equal == is_gamma_gamma2_graph(inst.g)
+        # at most two matchings per subdivision pair (one per endpoint)
+        ok = ok and verdict.matching_calls <= 2 * len(inst.pair_map)
         if not verdict.equal:
             ok = ok and verdict.witness is not None
             ok = ok and check_witness(inst.g, inst.d, verdict.witness)
@@ -424,7 +414,7 @@ def _check_sat_reduction(rng: random.Random, budget: int) -> Iterator[tuple[bool
     # (formula, whether the triple-cover equivalence must hold)
     def sample(i: int) -> tuple[CnfFormula, bool]:
         if i % 3 == 0:
-            return random_formula(rng, rng.randint(3, 6), rng.randint(1, 8)), False
+            return random_formula(rng, rng.randint(3, 7), rng.randint(1, 8)), False
         return covered_formula(rng, rng.choice([6, 7])), True
 
     fixtures = [(UNSAT_COVERED_6, True), (UNSAT_COVERED_7, True)]
@@ -448,7 +438,11 @@ def _sat_reduction_case(f: CnfFormula, require_equivalence: bool) -> tuple[bool,
     return ok, formats.cnf_to_text(f)
 
 
-def _check_perfect_triple_agreement(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
+def perfect_fixtures() -> list[Graph]:
+    """The fixed graphs ``perfect-triple-agreement`` checks before it
+    samples: every doubled-subdivided star on 4..12 vertices, short
+    cycles, K4, the Petersen graph, the augmented double-pendant edges
+    and two disjoint unions of cycles."""
     fixtures: list[Graph] = []
     for total in range(4, 13):
         for k in range(1, total):
@@ -466,11 +460,14 @@ def _check_perfect_triple_agreement(rng: random.Random, budget: int) -> Iterator
         )
         for n in (4, 5)
     ]
+    return fixtures
 
+
+def _check_perfect_triple_agreement(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
     def sample(_: int) -> Graph:
         return random_connected_min_degree2(rng, 4, 10)
 
-    for g in _fixtures_then_samples(fixtures, sample, budget):
+    for g in _fixtures_then_samples(perfect_fixtures(), sample, budget):
         yield _triple_agreement_case(g)
 
 
@@ -521,14 +518,21 @@ def run_verify(
     """Run the cross-validation suites.
 
     ``scope`` filters checks by name prefix.  ``budget`` overrides the
-    per-check instance count; 0 produces an empty report.
+    per-check instance count; 0 produces an empty report.  A negative
+    budget or a scope that matches no check raises ``ValueError``, so a
+    mistyped request cannot pass by running nothing.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    names = [name for name in sorted(_CHECKS) if not scope or name.startswith(scope)]
+    if not names:
+        raise ValueError(
+            f"scope {scope!r} matches no check; checks: {', '.join(sorted(_CHECKS))}"
+        )
     if budget == 0:
         return VerifyReport(seed=seed, checks=())
     results = []
-    for name in sorted(_CHECKS):
-        if scope and not name.startswith(scope):
-            continue
+    for name in names:
         body, default_budget = _CHECKS[name]
         count = budget if budget is not None else default_budget
         rng = random.Random(f"{seed}:{name}")

@@ -1,8 +1,10 @@
 """Acceptance gate.
 
 Ten end-to-end criteria, each printing one PASS/FAIL line with its wall
-time (the stated per-criterion time budget is asserted too).  Random
-corpora are seeded, so the gate is reproducible.
+time (the stated per-criterion time budget is asserted too).  Criteria
+2-4 and 6-10 run the ``gamma2 verify`` check bodies, each on its own RNG
+keyed ``acceptance:N``, so the gate is reproducible and checks exactly
+what ``verify`` checks.
 """
 
 import random
@@ -11,41 +13,14 @@ import time
 from gamma2 import (
     CnfFormula,
     all_four_vertex_graphs,
-    brute_force_maximum_matching,
-    build,
-    check_witness,
-    cnf_satisfiable,
-    double_subdivision,
-    extract_underlying,
-    forbidden_subgraph_check,
     gadget_a,
     gadget_b,
-    gadget_s,
     gamma_k,
     gamma_k_bruteforce,
-    is_gamma_gamma2_graph,
-    join_c4,
-    maximum_matching,
-    perfect_oracle,
-    recognize_h,
-    recognize_perfect,
     reduce_3sat,
-    triple_cover_holds,
 )
-from gamma2.constructions import complete, cycle, path, petersen, star
-from gamma2.verify import (
-    UNSAT_COVERED_6,
-    UNSAT_COVERED_7,
-    _multiplicity_lists,
-    covered_formula,
-    h_instance_stream,
-    random_connected_min_degree2,
-    random_formula,
-    random_g1_spec,
-    random_general_spec,
-    random_graph,
-    t6_augmented_fixtures,
-)
+from gamma2.constructions import cycle
+from gamma2.verify import _CHECKS, perfect_fixtures
 
 
 def _verdict(capsys, number, title, budget_s, body):
@@ -65,6 +40,17 @@ def _verdict(capsys, number, title, budget_s, body):
         print(f"criterion {number} ({title}): PASS in {elapsed:.1f}s")
 
 
+def _run_check(name, number, count):
+    """Run the ``gamma2 verify`` body of check ``name`` on ``count``
+    instances drawn from the criterion's own RNG; each must pass."""
+    body, _ = _CHECKS[name]
+    instances = 0
+    for ok, serialized in body(random.Random(f"acceptance:{number}"), count):
+        instances += 1
+        assert ok, f"{name}, instance {instances}, counterexample:\n{serialized}"
+    assert instances == count, f"{name} ran {instances} of {count} instances"
+
+
 def test_criterion_1_cycle_formulas(capsys):
     def body():
         for n in range(3, 16):
@@ -76,59 +62,23 @@ def test_criterion_1_cycle_formulas(capsys):
 
 
 def test_criterion_2_lower_bound(capsys):
-    def body():
-        rng = random.Random("acceptance:2")
-        for _ in range(500):
-            g = random_graph(rng, rng.randint(2, 14), rng.choice([0.15, 0.3, 0.5]))
-            if g.max_degree() < 2:
-                continue
-            base = gamma_k(g, 1).number
-            for k in (2, 3):
-                if g.max_degree() >= k:
-                    assert gamma_k(g, k).number >= base + k - 2
-
-    _verdict(capsys, 2, "k-domination lower bound on 500 random graphs", 30.0, body)
+    _verdict(
+        capsys, 2, "k-domination lower bound on 500 random graphs", 30.0,
+        lambda: _run_check("gamma-k-lower-bound", 2, 500),
+    )
 
 
 def test_criterion_3_specified_set_is_minimum(capsys):
-    def body():
-        rng = random.Random("acceptance:3")
-        for _ in range(100):
-            spec = random_g1_spec(rng, d_max=6)
-            inst = build(spec)
-            assert gamma_k(inst.g, 2).number == spec.f.n
-
-    _verdict(capsys, 3, "2-domination number of 100 built instances", 60.0, body)
+    _verdict(
+        capsys, 3, "2-domination number of 100 built instances", 60.0,
+        lambda: _run_check("specified-set-2domination", 3, 100),
+    )
 
 
 def test_criterion_4_recognition_cross_validation(capsys):
-    def body():
-        instances = [
-            double_subdivision(path(3)),
-            double_subdivision(star(4)),
-            double_subdivision(cycle(5)),
-            gadget_b(),
-            gadget_a(2),
-            gadget_a(3),
-            gadget_a(4),
-        ]
-        stream = h_instance_stream(seed=42)
-        while len(instances) < 200:
-            instances.append(next(stream))
-        equal_count = 0
-        for inst in instances:
-            verdict = recognize_h(inst)
-            assert verdict.equal == is_gamma_gamma2_graph(inst.g)
-            assert verdict.matching_calls <= 2 * len(inst.pair_map)
-            if verdict.equal:
-                equal_count += 1
-            else:
-                assert verdict.witness is not None
-                assert check_witness(inst.g, inst.d, verdict.witness)
-        assert 0 < equal_count < len(instances)
-
     _verdict(
-        capsys, 4, "recognizer vs oracle on 200 instances", 300.0, body
+        capsys, 4, "recognizer vs oracle on 200 instances", 300.0,
+        lambda: _run_check("recognition-cross-validation", 4, 200),
     )
 
 
@@ -147,33 +97,9 @@ def test_criterion_5_gadget_values(capsys):
 
 def test_criterion_6_sat_reduction(capsys):
     def body():
-        rng = random.Random("acceptance:6")
-
-        covered = [UNSAT_COVERED_6, UNSAT_COVERED_7]
-        covered += [covered_formula(rng, 7) for _ in range(24)]
-        covered += [covered_formula(rng, 6) for _ in range(24)]
-        for f in covered:
-            assert triple_cover_holds(f)
-            red = reduce_3sat(f)
-            assert red.triple_cover
-            g = red.instance.g
-            k, length = f.num_vars, len(f.clauses)
-            assert g.n == 3 * k + length + 3
-            gamma2 = gamma_k(g, 2).number
-            assert gamma2 == k + 2
-            satisfiable = cnf_satisfiable(f) is not None
-            assert satisfiable == (gamma_k(g, 1).number < gamma2)
-
-        for _ in range(20):
-            k = rng.randint(3, 7)
-            f = random_formula(rng, k, rng.randint(1, 8))
-            red = reduce_3sat(f)
-            g = red.instance.g
-            assert g.n == 3 * k + len(f.clauses) + 3
-            assert gamma_k(g, 2).number == k + 2
-            if cnf_satisfiable(f) is not None:
-                assert gamma_k(g, 1).number <= k + 1
-
+        # 2 unsatisfiable fixtures, then every third formula random and
+        # the others covering: 48 covering and 24 random
+        _run_check("sat-reduction-equivalence", 6, 74)
         for f in (
             CnfFormula(3, ((1, 2, 3),)),
             CnfFormula(3, ((1, -2, 3), (-1, 2, -3))),
@@ -182,64 +108,33 @@ def test_criterion_6_sat_reduction(capsys):
             for k in (1, 2):
                 assert gamma_k(g, k).number == gamma_k_bruteforce(g, k).number
 
-    _verdict(capsys, 6, "3-SAT reduction equivalence on 50 formulas", 600.0, body)
+    _verdict(capsys, 6, "3-SAT reduction equivalence on 74 formulas", 600.0, body)
 
 
 def test_criterion_7_hereditary_triple_agreement(capsys):
-    def body():
-        fixtures = []
-        for total in range(4, 13):
-            for k in range(1, total):
-                for mults in _multiplicity_lists(total - 1 - k, k):
-                    fixtures.append(gadget_s(tuple(mults)).g)
-        fixtures += [cycle(n) for n in range(4, 10)]
-        fixtures.append(complete(4))
-        fixtures += t6_augmented_fixtures()
-        rng = random.Random("acceptance:7")
-        fixtures += [random_connected_min_degree2(rng, 4, 10) for _ in range(300)]
-        for g in fixtures:
-            structural = recognize_perfect(g).perfect
-            assert structural == forbidden_subgraph_check(g)
-            assert structural == perfect_oracle(g)
-
-    _verdict(capsys, 7, "hereditary-equality triple agreement", 300.0, body)
+    _verdict(
+        capsys, 7, "hereditary-equality triple agreement", 300.0,
+        lambda: _run_check("perfect-triple-agreement", 7, len(perfect_fixtures()) + 300),
+    )
 
 
 def test_criterion_8_matching_oracle(capsys):
-    def body():
-        for g, mu in ((cycle(4), 2), (cycle(5), 2), (petersen(), 5)):
-            assert maximum_matching(g).size == mu
-            assert brute_force_maximum_matching(g).size == mu
-        rng = random.Random("acceptance:8")
-        checked = 0
-        while checked < 300:
-            g = random_graph(rng, rng.randint(1, 11), rng.choice([0.2, 0.35, 0.5]))
-            if g.m > 25:
-                continue
-            checked += 1
-            assert maximum_matching(g).size == brute_force_maximum_matching(g).size
-
-    _verdict(capsys, 8, "matching oracle agreement on 300 graphs", 30.0, body)
+    _verdict(
+        capsys, 8, "matching oracle agreement on 3 fixtures and 300 graphs", 30.0,
+        lambda: _run_check("matching-oracle", 8, 303),
+    )
 
 
 def test_criterion_9_four_vertex_joins(capsys):
     def body():
-        corpus = all_four_vertex_graphs()
-        assert len(corpus) == 11
-        for f in corpus:
-            g = join_c4(f)
-            assert gamma_k(g, 1).number == 2
-            assert gamma_k(g, 2).number == 2
+        assert len(all_four_vertex_graphs()) == 11
+        _run_check("join-c4-collapse", 9, 11)
 
     _verdict(capsys, 9, "join-to-4-cycle equality over 11 graphs", 5.0, body)
 
 
 def test_criterion_10_underlying_roundtrip(capsys):
-    def body():
-        rng = random.Random("acceptance:10")
-        for _ in range(100):
-            spec = random_general_spec(rng)
-            inst = build(spec)
-            assert extract_underlying(inst.g, inst.d) == spec.f
-
-    _verdict(capsys, 10, "underlying-graph round trip on 100 specs", 30.0, body)
+    _verdict(
+        capsys, 10, "underlying-graph round trip on 100 specs", 30.0,
+        lambda: _run_check("underlying-roundtrip", 10, 100),
+    )

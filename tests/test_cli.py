@@ -187,6 +187,16 @@ def test_verify_scope_filters(capsys):
     assert "sat-reduction" not in out
 
 
+@pytest.mark.parametrize(
+    "args", [["--scope", "typo"], ["--budget", "-3"], ["--scope", "typo", "--budget", "0"]]
+)
+def test_verify_rejects_requests_that_run_nothing(capsys, args):
+    assert main(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert "all checks passed" not in captured.out
+    assert captured.err.startswith("error: ")
+
+
 def test_verify_writes_counterexamples_on_failure(tmp_path, capsys, monkeypatch):
     import gamma2.verify as verify_mod
 

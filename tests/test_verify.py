@@ -1,7 +1,11 @@
 """The verify driver itself: determinism, scope, budget, reporting."""
 
+import dataclasses
 import json
 
+import pytest
+
+from gamma2 import verify
 from gamma2.verify import _CHECKS, run_verify
 
 
@@ -50,6 +54,33 @@ def test_zero_budget_gives_empty_report():
     report = run_verify(seed=0, budget=0)
     assert report.checks == ()
     assert report.ok
+
+
+def test_negative_budget_is_rejected():
+    with pytest.raises(ValueError, match="budget"):
+        run_verify(seed=0, budget=-3)
+
+
+def test_scope_matching_no_check_is_rejected():
+    with pytest.raises(ValueError, match="matches no check") as info:
+        run_verify(scope="typo", seed=0)
+    for name in _CHECKS:
+        assert name in str(info.value)
+
+
+def test_recognition_check_bounds_matching_calls(monkeypatch):
+    # the true verdict, but more matchings than two per subdivision pair
+    real = verify.recognize_h
+
+    def wasteful(inst):
+        return dataclasses.replace(
+            real(inst), matching_calls=2 * len(inst.pair_map) + 1
+        )
+
+    monkeypatch.setattr(verify, "recognize_h", wasteful)
+    report = run_verify(scope="recognition", seed=0, budget=3)
+    assert not report.ok
+    assert report.checks[0].passed == 0
 
 
 def test_report_ordering_is_stable():

@@ -48,6 +48,8 @@ def parse_graph(text: str) -> Graph:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise ParseError(f"non-integer header {header!r}", lineno) from None
+    if n < 0 or m < 0:
+        raise ParseError(f"negative count in header {header!r}", lineno)
     body = lines[1:]
     if len(body) > m:
         raise ParseError(
@@ -74,10 +76,7 @@ def parse_graph(text: str) -> Graph:
                 f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}", lineno
             )
         edges.append((u, v))
-    try:
-        return from_edges(n, edges)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return from_edges(n, edges)
 
 
 def graph_to_text(g: Graph) -> str:
@@ -95,8 +94,11 @@ def parse_instance(text: str) -> PartitionedInstance:
     """Parse the JSON instance format.
 
     Keys: ``n``, ``edges``, ``d``, ``pairs`` (each ``{"fu", "fv", "x"}``),
-    optional ``labels``.  Structural pair rules are enforced here; the
-    deeper neighbourhood rules are the recognizer's job.
+    optional ``labels``.  Only the JSON shape is checked here: vertices are
+    integers in range, each pair names two endpoints and two subdivision
+    vertices, and no D-edge has two pairs.  The instance rules (which
+    vertices are in D, how pairs may overlap) belong to
+    :func:`gamma2.recognition.validate_h`.
     """
     try:
         data: Any = json.loads(text)
@@ -117,48 +119,36 @@ def parse_instance(text: str) -> PartitionedInstance:
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad edge list: {exc}") from exc
 
-    d_list = data["d"]
-    if not isinstance(d_list, list) or not all(
-        isinstance(v, int) and 0 <= v < n for v in d_list
-    ):
-        raise ParseError("'d' must list vertices in range")
-    d = frozenset(d_list)
+    def lists_vertices(value: Any) -> bool:
+        return isinstance(value, list) and all(
+            isinstance(v, int) and 0 <= v < n for v in value
+        )
 
+    if not lists_vertices(data["d"]):
+        raise ParseError("'d' must list vertices in range")
+    d = frozenset(data["d"])
+
+    if not isinstance(data["pairs"], list):
+        raise ParseError("'pairs' must be a list")
     pair_map: dict[tuple[int, int], tuple[int, int]] = {}
-    used: set[int] = set()
     for idx, entry in enumerate(data["pairs"]):
         if not isinstance(entry, dict) or not {"fu", "fv", "x"} <= set(entry):
             raise ParseError(f"pair #{idx} must have keys fu, fv, x")
         fu, fv, x = entry["fu"], entry["fv"], entry["x"]
-        if fu not in d or fv not in d or fu == fv:
-            raise ParseError(
-                f"pair #{idx}: endpoints ({fu}, {fv}) must be two distinct "
-                f"D-vertices"
-            )
-        if (
-            not isinstance(x, list)
-            or len(x) != 2
-            or not all(isinstance(v, int) and 0 <= v < n for v in x)
-        ):
+        if not lists_vertices([fu, fv]):
+            raise ParseError(f"pair #{idx}: 'fu' and 'fv' must be vertices")
+        if not lists_vertices(x) or len(x) != 2:
             raise ParseError(f"pair #{idx}: 'x' must list two vertices")
-        x1, x2 = x
-        if x1 == x2 or x1 in d or x2 in d:
-            raise ParseError(
-                f"pair #{idx}: subdivision vertices must be two distinct "
-                f"non-D vertices"
-            )
         key = (min(fu, fv), max(fu, fv))
         if key in pair_map:
             raise ParseError(f"pair #{idx}: duplicate pair for edge {key}")
-        if x1 in used or x2 in used:
-            raise ParseError(
-                f"pair #{idx}: a subdivision vertex appears in two pairs"
-            )
-        used.update((x1, x2))
-        pair_map[key] = (x1, x2)
+        pair_map[key] = (x[0], x[1])
 
+    raw_labels = data.get("labels", {})
+    if not isinstance(raw_labels, dict):
+        raise ParseError("'labels' must be an object")
     labels: dict[int, str] = {}
-    for key_str, value in data.get("labels", {}).items():
+    for key_str, value in raw_labels.items():
         try:
             vertex = int(key_str)
         except ValueError:

@@ -91,7 +91,7 @@ def validate_h(inst: PartitionedInstance) -> HValidationReport:
             if w in d and u < w:
                 failures.append(f"D is not independent: edge ({u}, {w})")
 
-    seen: dict[int, tuple[int, int]] = {}
+    seen: set[int] = set()
     structure_ok = True
     for key, (x1, x2) in inst.pair_map.items():
         a, b = key
@@ -105,40 +105,36 @@ def validate_h(inst: PartitionedInstance) -> HValidationReport:
             failures.append(f"pair {key} lists the same vertex twice")
             structure_ok = False
             continue
+        pair_ok = True
         for x in (x1, x2):
             if not 0 <= x < g.n or x in d:
                 failures.append(
                     f"pair {key} names {x}, which is not a non-D vertex"
                 )
-                structure_ok = False
+                pair_ok = False
                 continue
             if x in seen:
                 failures.append(f"vertex {x} belongs to two pairs")
                 structure_ok = False
-                continue
-            seen[x] = key
+            seen.add(x)
+            d_nbrs = set(g.neighbors(x)) & d
+            if d_nbrs != set(key):
+                failures.append(
+                    f"pair vertex {x} of {key} has D-neighbourhood "
+                    f"{sorted(d_nbrs)}, expected {sorted(key)}"
+                )
+        if not pair_ok:
+            structure_ok = False
+        elif g.has_edge(x1, x2):
+            failures.append(
+                f"supplementary edge inside pair {key}: ({x1}, {x2})"
+            )
 
-    uncovered = sorted(set(range(g.n)) - d - set(seen))
+    uncovered = sorted(set(range(g.n)) - d - seen)
     for v in uncovered:
         failures.append(
             f"vertex {v} is outside D but not a subdivision vertex of any pair"
         )
-
-    for key, (x1, x2) in inst.pair_map.items():
-        expected = set(key)
-        for x in (x1, x2):
-            if not (0 <= x < g.n) or x in d:
-                continue
-            d_nbrs = set(g.neighbors(x)) & d
-            if d_nbrs != expected:
-                failures.append(
-                    f"pair vertex {x} of {key} has D-neighbourhood "
-                    f"{sorted(d_nbrs)}, expected {sorted(expected)}"
-                )
-        if g.has_edge(x1, x2):
-            failures.append(
-                f"supplementary edge inside pair {key}: ({x1}, {x2})"
-            )
 
     underlying: Optional[Graph] = None
     if structure_ok:
@@ -297,15 +293,15 @@ def recognize_h(inst: PartitionedInstance) -> RecognitionVerdict:
         partner[x2] = x1
 
     # Bridge scan: a supplementary edge whose endpoints have disjoint
-    # D-neighbourhoods spans two independent underlying edges.
+    # D-neighbourhoods spans two independent underlying edges.  After
+    # validation a pair vertex's D-neighbourhood is its pair key.
     for u, v in g.edges():
         if u in d or v in d:
             continue
-        common = set(g.neighbors(u)) & set(g.neighbors(v)) & d
-        if common:
-            continue
         a1, b1 = pair_of[u]
         a2, b2 = pair_of[v]
+        if a1 in (a2, b2) or b1 in (a2, b2):
+            continue
         witness = BWitness(
             v1=a1, u1=b1, x1=(u, partner[u]),
             v2=a2, u2=b2, x2=(v, partner[v]),
@@ -497,11 +493,7 @@ def forbidden_subgraph_check(g: Graph) -> bool:
         return False
     if short_cycle(g) == 3:
         return False
-    if _has_cycle_of_length_at_least(g, 5):
-        return False
-    if _has_path_on(g, 8):
-        return False
-    return True
+    return not _has_long_path_or_cycle(g)
 
 
 def _has_double_pendant_edge(g: Graph) -> bool:
@@ -515,51 +507,28 @@ def _has_double_pendant_edge(g: Graph) -> bool:
     return False
 
 
-def _has_cycle_of_length_at_least(g: Graph, bound: int) -> bool:
-    # Enumerate simple cycles whose minimum vertex is the DFS start.
+def _has_long_path_or_cycle(g: Graph) -> bool:
+    # A path on eight vertices or a cycle of length 5..7.  A longer cycle
+    # contains a path on eight vertices, so this finds every cycle of
+    # length >= 5 while no search goes deeper than eight vertices.
     on_path: set[int] = set()
-    path: list[int] = []
 
     def dfs(v: int, start: int) -> bool:
+        if len(on_path) == 8:
+            return True
         for u in g.neighbors(v):
-            if u == start and len(path) >= bound:
+            if u == start and len(on_path) >= 5:
                 return True
-            if u > start and u not in on_path:
-                on_path.add(u)
-                path.append(u)
-                if dfs(u, start):
-                    return True
-                path.pop()
-                on_path.remove(u)
-        return False
-
-    for start in range(g.n):
-        on_path = {start}
-        path = [start]
-        if dfs(start, start):
-            return True
-    return False
-
-
-def _has_path_on(g: Graph, count: int) -> bool:
-    if g.n < count:
-        return False
-    on_path: set[int] = set()
-
-    def dfs(v: int, length: int) -> bool:
-        if length == count:
-            return True
-        for u in g.neighbors(v):
             if u not in on_path:
                 on_path.add(u)
-                if dfs(u, length + 1):
+                if dfs(u, start):
                     return True
                 on_path.remove(u)
         return False
 
     for start in range(g.n):
         on_path = {start}
-        if dfs(start, 1):
+        if dfs(start, start):
             return True
     return False
 

@@ -126,8 +126,9 @@ def _solve_component(adj: list[int], k: int) -> tuple[int, int]:
 
     def dfs(chosen: int, excluded: int, size: int) -> None:
         nonlocal best, best_mask
-        if size >= best:
-            return
+        # Entered only with size < best: the include branch follows a
+        # failed size + bound >= best test with bound >= 1, and whatever
+        # it finds has more than ``size`` vertices.
         # Unit propagation: a vertex short of options is forced, a vertex
         # with exactly as many undecided neighbours as it still needs
         # forces all of them.  The pass that forces nothing leaves the

@@ -13,7 +13,9 @@ from gamma2 import (
     gadget_a,
     gadget_b,
     random_h_instance,
+    validate_h,
 )
+from gamma2.cli import main
 from gamma2.constructions import cycle, petersen
 from gamma2.formats import (
     ParseError,
@@ -60,6 +62,9 @@ def test_graph_roundtrip(n, raw_edges):
         ("2 1\n0 0\n", 2),            # self-loop
         ("2 2\n0 1\n", None),         # fewer edges than promised
         ("2 1\n0 1\n1 0\n", 3),       # more edges than promised
+        ("0 -1\n", 1),                # negative edge count, empty body
+        ("3 -1\n0 1\n", 1),           # negative edge count
+        ("-2 0\n", 1),                # negative vertex count
     ],
 )
 def test_parse_graph_errors_carry_line_numbers(text, line):
@@ -104,18 +109,42 @@ def _tamper(mutate):
     "mutate,needle",
     [
         (lambda d: d.pop("pairs"), "pairs"),
-        (lambda d: d["pairs"][0].update(x=[4, 4]), "distinct"),
-        (lambda d: d["pairs"][0].update(x=[0, 5]), "non-D"),
-        (lambda d: d["pairs"][0].update(fu=d["pairs"][0]["fv"]), "distinct"),
         (lambda d: d["pairs"].append(d["pairs"][0]), "duplicate"),
         (lambda d: d["d"].append(99), "range"),
         (lambda d: d["edges"].append([0, 0]), "loop"),
+        (lambda d: d.update(pairs=5), "'pairs' must be a list"),
+        (lambda d: d.update(labels=[1]), "'labels' must be an object"),
     ],
 )
 def test_instance_json_structural_errors(mutate, needle):
     with pytest.raises(ParseError) as err:
         parse_instance(_tamper(mutate))
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "mutate,rule",
+    [
+        (lambda d: d["pairs"][0].update(x=[4, 4]), "lists the same vertex twice"),
+        (lambda d: d["pairs"][0].update(x=[0, 5]), "which is not a non-D vertex"),
+        (
+            lambda d: d["pairs"][0].update(fu=d["pairs"][0]["fv"]),
+            "is not an ordered pair of D-vertices",
+        ),
+        (
+            lambda d: d["pairs"][1].update(x=d["pairs"][0]["x"]),
+            "belongs to two pairs",
+        ),
+    ],
+)
+def test_instance_rules_are_validate_h_errors(tmp_path, capsys, mutate, rule):
+    # the parser checks only the JSON shape; validate_h owns these rules
+    text = _tamper(mutate)
+    assert any(rule in msg for msg in validate_h(parse_instance(text)).failures)
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(text)
+    assert main(["recognize", "h", str(inst_file)]) == 2
+    assert rule in capsys.readouterr().err
 
 
 def test_instance_json_rejects_non_json():

@@ -3,6 +3,7 @@ routes to hereditary equality."""
 
 import random
 import time
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -82,6 +83,7 @@ def test_validate_rejects_wrong_pair_neighbourhood():
     )
     report = validate_h(tampered)
     assert not report.valid
+    assert any("D-neighbourhood [0, 1, 2]" in msg for msg in report.failures)
 
 
 def test_validate_rejects_uncovered_outside_vertex():
@@ -94,6 +96,7 @@ def test_validate_rejects_uncovered_outside_vertex():
     )
     report = validate_h(tampered)
     assert not report.valid
+    assert any("vertex 4 is outside D" in msg for msg in report.failures)
 
 
 def test_validate_rejects_adjacent_pair():
@@ -106,6 +109,36 @@ def test_validate_rejects_adjacent_pair():
     )
     report = validate_h(tampered)
     assert not report.valid
+    assert any("inside pair (0, 1): (2, 3)" in msg for msg in report.failures)
+
+
+# double_subdivision(path(3)): D = {0, 1, 2}, pairs (0, 1): (3, 4) and
+# (1, 2): (5, 6)
+@pytest.mark.parametrize(
+    "d,pair_map,rule",
+    [
+        ({0, 1, 2, 9}, None, "D-vertex 9 outside 0..6"),
+        (None, {(1, 0): (3, 4), (1, 2): (5, 6)}, "not an ordered pair of D-vertices"),
+        (None, {(0, 1): (3, 3), (1, 2): (5, 6)}, "lists the same vertex twice"),
+        (None, {(0, 1): (3, 9), (1, 2): (5, 6)}, "names 9, which is not a non-D"),
+        (None, {(0, 1): (0, 4), (1, 2): (5, 6)}, "names 0, which is not a non-D"),
+        (None, {(0, 1): (3, 4), (1, 2): (4, 6)}, "vertex 4 belongs to two pairs"),
+    ],
+)
+def test_validate_names_each_pair_rule(d, pair_map, rule):
+    base = double_subdivision(path(3))
+    tampered = replace(
+        base,
+        d=base.d if d is None else frozenset(d),
+        pair_map=base.pair_map if pair_map is None else pair_map,
+    )
+    report = validate_h(tampered)
+    assert not report.valid
+    assert report.underlying is None
+    assert any(rule in msg for msg in report.failures), report.failures
+    # only pairs of two valid non-D vertices are tested for an edge inside:
+    # (0, 4) is an edge of D-vertex 0, not a supplementary edge
+    assert not any("inside pair" in msg for msg in report.failures)
 
 
 def test_validate_rejects_short_cycles_in_underlying():
@@ -166,14 +199,46 @@ def test_matching_call_budget():
 
 
 def test_tampered_witness_fails_replay():
-    inst = gadget_b()
-    w = recognize_h(inst).witness
-    assert isinstance(w, BWitness)
-    bad = BWitness(w.v1, w.u1, w.x1, w.v2, w.u2, (w.x2[1], w.x2[0]))
-    # reversing the second pair breaks the bridge edge x1[0] -- x2[0]
-    assert not check_witness(inst.g, inst.d, bad)
-    clash = BWitness(w.v1, w.v1, w.x1, w.v2, w.u2, w.x2)
-    assert not check_witness(inst.g, inst.d, clash)
+    # one tampered witness per rule of check_witness
+    bridge_inst, ring_inst = gadget_b(), gadget_a(3)
+    b = recognize_h(bridge_inst).witness
+    a = recognize_h(ring_inst).witness
+    assert isinstance(b, BWitness) and isinstance(a, AWitness)
+    assert check_witness(bridge_inst.g, bridge_inst.d, b)
+    assert check_witness(ring_inst.g, ring_inst.d, a)
+    first, second, third = a.spokes
+    tampered = {
+        "repeated vertex": (bridge_inst, replace(b, u1=b.v1)),
+        "bridge vertex out of range": (bridge_inst, replace(b, u2=99)),
+        "bridge endpoint outside D": (
+            replace(bridge_inst, d=bridge_inst.d - {b.u1}), b,
+        ),
+        "bridge pair vertex in D": (
+            replace(bridge_inst, d=bridge_inst.d | {b.x1[1]}), b,
+        ),
+        "missing pair edge": (
+            bridge_inst, BWitness(b.v2, b.u2, b.x1, b.v1, b.u1, b.x2),
+        ),
+        # reversing the second pair breaks the bridge edge x1[0] -- x2[0]
+        "missing bridge edge": (bridge_inst, replace(b, x2=b.x2[::-1])),
+        "ring vertex out of range": (
+            ring_inst, replace(a, spokes=((99, *first[1:]), second, third)),
+        ),
+        "fewer than two spokes": (ring_inst, replace(a, spokes=(first,))),
+        "centre outside D": (
+            ring_inst, replace(a, center=third[1], spokes=(first, second)),
+        ),
+        "spoke end outside D": (
+            ring_inst,
+            replace(a, spokes=((first[1], first[0], first[2]), second, third)),
+        ),
+        "missing spoke edge": (
+            ring_inst, replace(a, spokes=((third[0], *first[1:]), second)),
+        ),
+        "missing ring edge": (ring_inst, replace(a, spokes=(first, second))),
+    }
+    for rule, (inst, witness) in tampered.items():
+        assert not check_witness(inst.g, inst.d, witness), rule
 
 
 def test_recognize_rejects_invalid_instance():

@@ -34,12 +34,25 @@ def test_reports_are_deterministic():
     ]
 
 
-def test_different_seeds_change_streams():
-    # not a strict requirement of any single check, but the sampled
-    # instances should differ somewhere across the whole report
-    a = run_verify(scope="matching", seed=0, budget=30)
-    b = run_verify(scope="matching", seed=1, budget=30)
-    assert a.ok and b.ok
+def test_different_seeds_change_streams(monkeypatch):
+    body, default_budget = _CHECKS["matching-oracle"]
+    yielded: list[str] = []
+
+    def recording(rng, budget):
+        for ok, serialized in body(rng, budget):
+            yielded.append(serialized)
+            yield ok, serialized
+
+    monkeypatch.setitem(_CHECKS, "matching-oracle", (recording, default_budget))
+    streams = []
+    for seed in (0, 1):
+        yielded.clear()
+        assert run_verify(scope="matching", seed=seed, budget=30).ok
+        streams.append(list(yielded))
+    assert len(streams[0]) == len(streams[1]) == 30
+    # the same three fixtures first, then different random graphs
+    assert streams[0][:3] == streams[1][:3]
+    assert streams[0][3:] != streams[1][3:]
 
 
 def test_scope_prefix_filter():

@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 
 from . import formats
 from .constructions import (
-    ConstructionError,
     PartitionedInstance,
     double_subdivision,
     gadget_a,
@@ -39,7 +38,6 @@ from .constructions import (
 from .graph import Graph
 from .matching import maximum_matching
 from .recognition import (
-    InvalidHInstanceError,
     perfect_oracle,
     recognize_h,
     recognize_perfect,
@@ -271,13 +269,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        formats.ParseError,
-        ConstructionError,
-        InvalidHInstanceError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
+        # ParseError, ConstructionError and InvalidHInstanceError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -95,10 +95,10 @@ def parse_instance(text: str) -> PartitionedInstance:
 
     Keys: ``n``, ``edges``, ``d``, ``pairs`` (each ``{"fu", "fv", "x"}``),
     optional ``labels``.  Only the JSON shape is checked here: vertices are
-    integers in range, each pair names two endpoints and two subdivision
-    vertices, and no D-edge has two pairs.  The instance rules (which
-    vertices are in D, how pairs may overlap) belong to
-    :func:`gamma2.recognition.validate_h`.
+    integers in range (not JSON booleans), label keys are their decimal
+    forms, each pair names two endpoints and two subdivision vertices, and
+    no D-edge has two pairs.  The instance rules (which vertices are in D,
+    how pairs may overlap) belong to :func:`gamma2.recognition.validate_h`.
     """
     try:
         data: Any = json.loads(text)
@@ -111,18 +111,24 @@ def parse_instance(text: str) -> PartitionedInstance:
             raise ParseError(
                 f"missing key {key!r}; pair-labelled instances need it"
             )
+    # JSON true and false load as bool, a subclass of int: no vertex or
+    # count is a bool, hence ``type(...) is int``.
     n = data["n"]
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ParseError(f"'n' must be a non-negative integer, got {n!r}")
-    try:
-        g = from_edges(n, [tuple(e) for e in data["edges"]])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad edge list: {exc}") from exc
 
     def lists_vertices(value: Any) -> bool:
         return isinstance(value, list) and all(
-            isinstance(v, int) and 0 <= v < n for v in value
+            type(v) is int and 0 <= v < n for v in value
         )
+
+    try:
+        edges = [tuple(e) for e in data["edges"]]
+        g = from_edges(n, edges)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad edge list: {exc}") from exc
+    if any(type(u) is bool or type(v) is bool for u, v in edges):
+        raise ParseError("bad edge list: an endpoint is a boolean")
 
     if not lists_vertices(data["d"]):
         raise ParseError("'d' must list vertices in range")
@@ -152,7 +158,10 @@ def parse_instance(text: str) -> PartitionedInstance:
         try:
             vertex = int(key_str)
         except ValueError:
-            raise ParseError(f"label key {key_str!r} is not a vertex") from None
+            vertex = -1
+        # int() also takes " 2" and "1_0": only a vertex's decimal form
+        if not (0 <= vertex < n and str(vertex) == key_str):
+            raise ParseError(f"label key {key_str!r} is not a vertex")
         labels[vertex] = str(value)
 
     return PartitionedInstance(g=g, d=d, pair_map=pair_map, labels=labels)

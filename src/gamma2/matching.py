@@ -53,45 +53,26 @@ def _matching_from_mate(mate: list[int]) -> Matching:
     return Matching(tuple(None if p == -1 else p for p in mate))
 
 
-def maximum_matching(g: Graph, initial: Matching | None = None) -> Matching:
+def maximum_matching(g: Graph) -> Matching:
     """Maximum-cardinality matching of ``g``.
 
     Deterministic: scans vertices and neighbours in index order.  Starts
-    from a greedy matching, or from ``initial`` (a matching of ``g``;
-    ``ValueError`` if it is not one) when given, so a matching that is
-    one edge short of maximum costs a single augmenting search.
+    from the greedy matching that pairs each vertex, in index order, with
+    its lowest free neighbour, then runs one augmenting search per exposed
+    root while at least two exposed vertices are unsearched: a greedy
+    start that leaves two vertices exposed costs at most one search.
     """
     n = g.n
     mate = [-1] * n
 
-    if initial is None:
-        # Greedy initial matching saves most of the augmenting phases.
-        for v in range(n):
-            if mate[v] == -1:
-                for u in g.neighbors(v):
-                    if mate[u] == -1:
-                        mate[v] = u
-                        mate[u] = v
-                        break
-    else:
-        if len(initial.mate) != n:
-            raise ValueError(
-                f"initial matching is over {len(initial.mate)} vertices, "
-                f"graph has {n}"
-            )
-        for v, u in enumerate(initial.mate):
-            if u is None:
-                continue
-            if not g.has_edge(v, u):
-                raise ValueError(
-                    f"initial matching pairs {v} with {u}, which is not an edge"
-                )
-            if initial.mate[u] != v:
-                raise ValueError(
-                    f"initial matching is not symmetric: mate of {v} is {u}, "
-                    f"mate of {u} is {initial.mate[u]}"
-                )
-            mate[v] = u
+    # Greedy initial matching saves most of the augmenting phases.
+    for v in range(n):
+        if mate[v] == -1:
+            for u in g.neighbors(v):
+                if mate[u] == -1:
+                    mate[v] = u
+                    mate[u] = v
+                    break
 
     parent = [-1] * n   # BFS tree parent (over even vertices)
     base = list(range(n))  # base vertex of the blossom containing v

@@ -32,7 +32,7 @@ from .graph import (
     power,
     short_cycle,
 )
-from .matching import Matching, maximum_matching
+from .matching import maximum_matching
 from .solvers import is_gamma_gamma2_graph
 
 FORBIDDEN_CHECK_VERTEX_LIMIT = 14
@@ -274,9 +274,10 @@ def recognize_h(inst: PartitionedInstance) -> RecognitionVerdict:
 
     Near-linear: one pass over the instance (validation, the bridge scan
     over the supplementary edges, and each D-vertex's incident pairs and
-    local graph built from the rows of its own neighbours), plus one
-    augmenting-path search per (D-vertex, incident pair) on that
-    D-vertex's local graph, warm-started from the other pairs' edges.
+    local graph built from the rows of its own neighbours, numbered pair
+    by pair), plus, per (D-vertex, incident pair), one maximum matching
+    of the local graph without that pair's edge: one greedy pass and at
+    most one augmenting search.
     Raises :class:`InvalidHInstanceError` on malformed input.
     """
     report = validate_h(inst)
@@ -311,8 +312,8 @@ def recognize_h(inst: PartitionedInstance) -> RecognitionVerdict:
     # Ring scan: around each D-vertex the pair edges form a perfect
     # matching M0 of its neighbourhood.  A ring through one pair is an
     # M0-alternating cycle through that pair's edge, so drop the edge from
-    # the local graph and from M0: one augmenting search restores a
-    # perfect matching iff the ring exists, and success traces it.
+    # the local graph: it keeps a perfect matching iff the ring exists,
+    # and the matching traces it.
     incident: dict[int, list[tuple[int, int]]] = {v: [] for v in d}
     for key in inst.pair_map:
         incident[key[0]].append(key)
@@ -322,84 +323,74 @@ def recognize_h(inst: PartitionedInstance) -> RecognitionVerdict:
         keys = sorted(incident[center])
         if len(keys) < 2:
             continue
-        local = sorted(g.neighbors(center))
+        # Local vertices 2s and 2s + 1 are the pair keys[s], so i ^ 1 is
+        # the partner of i; each row ends with its pair edge.
+        local = [x for key in keys for x in inst.pair_map[key]]
         index = {v: i for i, v in enumerate(local)}
         rows = [
-            [index[u] for u in g.neighbors(v) if u in index] for v in local
+            [index[u] for u in g.neighbors(v) if u in index] + [i ^ 1]
+            for i, v in enumerate(local)
         ]
-        pair_mate: list[int | None] = [None] * len(local)
-        ends = []
-        for key in keys:
-            x1, x2 = inst.pair_map[key]
-            i, j = index[x1], index[x2]
-            rows[i].append(j)
-            rows[j].append(i)
-            pair_mate[i], pair_mate[j] = j, i
-            ends.append((key, i, j))
-        for removed, i, j in ends:
+        for t in range(len(keys)):
+            # Without pair t's edge, the greedy start in maximum_matching
+            # reaches each intact pair (both vertices free) at its lower
+            # vertex and matches it to its partner, its lowest free
+            # neighbour; so every pair before t matches itself.  A
+            # "broken" vertex (in pair t, or with its partner matched
+            # elsewhere) is either left exposed or matched into another
+            # pair, which breaks at most that pair's other vertex.  Only
+            # pair t starts broken, so at most two vertices stay exposed:
+            # one greedy pass plus at most one augmenting search.
             aux_rows = rows.copy()
-            aux_rows[i] = [u for u in rows[i] if u != j]
-            aux_rows[j] = [u for u in rows[j] if u != i]
-            start = pair_mate.copy()
-            start[i] = start[j] = None
+            aux_rows[2 * t] = rows[2 * t][:-1]
+            aux_rows[2 * t + 1] = rows[2 * t + 1][:-1]
             matching_calls += 1
-            m = maximum_matching(
-                Graph(len(local), aux_rows), initial=Matching(tuple(start))
-            )
-            if m.size != len(keys):
-                continue
-            witness = _trace_ring(
-                inst, center, removed, local, index, m.mate, pair_of, partner
-            )
-            return RecognitionVerdict(False, witness, matching_calls)
+            m = maximum_matching(Graph(len(local), aux_rows))
+            if m.size == len(keys):
+                witness = _trace_ring(center, keys, t, local, m.mate)
+                return RecognitionVerdict(False, witness, matching_calls)
 
     return RecognitionVerdict(True, None, matching_calls)
 
 
 def _trace_ring(
-    inst: PartitionedInstance,
     center: int,
-    removed: tuple[int, int],
+    keys: list[tuple[int, int]],
+    t: int,
     local: list[int],
-    index: dict[int, int],
     mate: tuple[int | None, ...],
-    pair_of: dict[int, tuple[int, int]],
-    partner: dict[int, int],
 ) -> AWitness:
-    """Turn a perfect matching that avoids one pair edge into a ring.
+    """Turn a perfect matching of the local graph of ``center`` without
+    the edge of pair ``keys[t]`` into a ring.
 
+    Local vertex i lies in pair ``keys[i // 2]`` with partner ``i ^ 1``.
     Both vertices of the broken pair are matched across supplementary
     edges; following exit -> matched entry -> pair partner hops from pair
     to pair until the walk closes back at the broken pair.  Spoke r holds
     (w_r, x_r1, x_r2) with the matching edges realising x_r1 -- x_{r+1}2.
     """
 
-    def other_endpoint(key: tuple[int, int]) -> int:
-        a, b = key
-        return b if a == center else a
+    def spoke(exit_: int) -> tuple[int, int, int]:
+        a, b = keys[exit_ // 2]
+        return (b if a == center else a, local[exit_], local[exit_ ^ 1])
 
-    x1_start, x2_start = inst.pair_map[removed]
-    spokes: list[tuple[int, int, int]] = [
-        (other_endpoint(removed), x1_start, x2_start)
-    ]
-    exit_vertex = x1_start
+    exit_ = 2 * t
+    spokes = [spoke(exit_)]
     while True:
-        matched = mate[index[exit_vertex]]
-        if matched is None:
+        entry = mate[exit_]
+        if entry is None:
             raise RuntimeError(
-                f"perfect matching leaves vertex {exit_vertex} unmatched"
+                f"perfect matching leaves vertex {local[exit_]} unmatched"
             )
-        entry = local[matched]
-        next_key = pair_of[entry]
-        if next_key == removed:
-            if entry != x2_start:
+        if entry // 2 == t:
+            if entry != 2 * t + 1:
                 raise RuntimeError(
-                    f"ring around {center} closes at {entry}, "
-                    f"not at the broken pair's {x2_start}"
+                    f"ring around {center} closes at {local[entry]}, "
+                    f"not at the broken pair's {local[2 * t + 1]}"
                 )
             break
-        exit_vertex = partner[entry]
-        spokes.append((other_endpoint(next_key), exit_vertex, entry))
+        exit_ = entry ^ 1
+        spokes.append(spoke(exit_))
     return AWitness(center=center, spokes=tuple(spokes))
 
 

@@ -114,6 +114,18 @@ def _tamper(mutate):
         (lambda d: d["edges"].append([0, 0]), "loop"),
         (lambda d: d.update(pairs=5), "'pairs' must be a list"),
         (lambda d: d.update(labels=[1]), "'labels' must be an object"),
+        # label keys: only the decimal form of a vertex in 0..n-1
+        (lambda d: d["labels"].update({"99": "ghost"}), "label key '99'"),
+        (lambda d: d["labels"].update({"-3": "neg"}), "label key '-3'"),
+        (lambda d: d["labels"].update({" 2": "pad"}), "label key ' 2'"),
+        (lambda d: d["labels"].update({"1_0": "ten"}), "label key '1_0'"),
+        # JSON booleans are not integers here
+        (lambda d: d.update(n=True), "'n' must be a non-negative integer"),
+        (lambda d: d["d"].append(True), "'d' must list vertices"),
+        (lambda d: d["pairs"][0].update(fu=True), "'fu' and 'fv'"),
+        (lambda d: d["pairs"][0].update(fv=False), "'fu' and 'fv'"),
+        (lambda d: d["pairs"][0].update(x=[True, 5]), "'x' must list"),
+        (lambda d: d["edges"].append([True, 2]), "boolean"),
     ],
 )
 def test_instance_json_structural_errors(mutate, needle):

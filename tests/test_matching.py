@@ -13,7 +13,7 @@ from gamma2 import (
     maximum_matching,
 )
 from gamma2.constructions import complete, cycle, path, petersen
-from gamma2.matching import BRUTE_FORCE_EDGE_LIMIT, Matching
+from gamma2.matching import BRUTE_FORCE_EDGE_LIMIT
 from gamma2.verify import random_graph
 
 
@@ -70,13 +70,10 @@ def test_brute_force_rejects_large_graphs():
         brute_force_maximum_matching(g)
 
 
-edge_lists = (
+@given(
     st.integers(1, 9),
     st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=22),
 )
-
-
-@given(*edge_lists)
 def test_blossom_agrees_with_exhaustive_search(n, raw_edges):
     edges = [(u % n, v % n) for u, v in raw_edges if u % n != v % n]
     g = from_edges(n, edges)
@@ -87,39 +84,6 @@ def test_blossom_agrees_with_exhaustive_search(n, raw_edges):
     assert fast.size == slow.size
     assert_valid_matching(g, fast)
     assert_valid_matching(g, slow)
-
-
-@given(*edge_lists, st.randoms(use_true_random=False))
-def test_warm_start_reaches_a_maximum_matching(n, raw_edges, rng):
-    edges = [(u % n, v % n) for u, v in raw_edges if u % n != v % n]
-    g = from_edges(n, edges)
-    if g.m > BRUTE_FORCE_EDGE_LIMIT:
-        return
-    # a random sub-matching of a random greedy matching
-    mate = [None] * n
-    order = g.edge_list()
-    rng.shuffle(order)
-    for u, v in order:
-        if mate[u] is None and mate[v] is None and rng.random() < 0.7:
-            mate[u], mate[v] = v, u
-    warm = maximum_matching(g, initial=Matching(tuple(mate)))
-    assert_valid_matching(g, warm)
-    assert warm.size == maximum_matching(g).size
-    assert warm.size == brute_force_maximum_matching(g).size
-
-
-@pytest.mark.parametrize(
-    "mate,message",
-    [
-        ((1, 0, None), "over 3 vertices, graph has 4"),
-        ((1, None, None, None), "not symmetric"),
-        ((2, None, 0, None), "not an edge"),
-        ((None, None, None, 3), "not an edge"),
-    ],
-)
-def test_warm_start_rejects_invalid_initial_matching(mate, message):
-    with pytest.raises(ValueError, match=message):
-        maximum_matching(path(4), initial=Matching(mate))
 
 
 def test_blossom_size_matches_networkx():

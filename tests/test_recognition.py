@@ -22,14 +22,17 @@ from gamma2 import (
     gadget_b,
     gadget_s,
     is_gamma_gamma2_graph,
+    maximum_matching,
     perfect_oracle,
     random_h_instance,
     recognize_h,
     recognize_perfect,
     validate_h,
 )
+from gamma2 import recognition
 from gamma2.constructions import (
     ConstructionSpec,
+    _random_supp_edges,
     build,
     complete,
     cycle,
@@ -246,19 +249,68 @@ def test_recognize_rejects_invalid_instance():
         recognize_h(double_subdivision(complete(3)))
 
 
+def _dense_star(seed):
+    # every supplementary edge joins two pairs at the star's centre, so
+    # each obstruction is a ring; order 3k + 1 <= 19
+    rng = random.Random(f"dense-star:{seed}")
+    f = star(3 + seed % 4)
+    return build(
+        ConstructionSpec(f, supp_edges=_random_supp_edges(rng, f, 0, 0.3))
+    )
+
+
 def test_recognize_agrees_with_oracle_on_random_instances():
-    checked = 0
+    instances = []
     seed = 0
-    while checked < 40:
+    while len(instances) < 40:
         seed += 1
         inst = random_h_instance(3 + seed % 3, 0.4, 0.3, seed=seed)
-        if inst is None or inst.g.n > 22:
-            continue
-        checked += 1
+        if inst is not None and inst.g.n <= 22:
+            instances.append(inst)
+    instances += [_dense_star(seed) for seed in range(100)]
+    for inst in instances:
         verdict = recognize_h(inst)
         assert verdict.equal == is_gamma_gamma2_graph(inst.g)
         if not verdict.equal:
             assert check_witness(inst.g, inst.d, verdict.witness)
+
+
+def _shuffled(inst, rng):
+    # the same instance under a random vertex numbering, so that pair
+    # vertices are no longer numbered next to each other
+    perm = list(range(inst.g.n))
+    rng.shuffle(perm)
+    return PartitionedInstance(
+        g=from_edges(inst.g.n, [(perm[u], perm[v]) for u, v in inst.g.edges()]),
+        d=frozenset(perm[v] for v in inst.d),
+        pair_map={
+            (min(perm[a], perm[b]), max(perm[a], perm[b])): (perm[x], perm[y])
+            for (a, b), (x, y) in inst.pair_map.items()
+        },
+    )
+
+
+def test_ring_scan_matches_local_graphs_missing_one_pair_edge(monkeypatch):
+    # local vertices 2s and 2s + 1 form a pair; with all pair edges but
+    # one present, the greedy start leaves at most two vertices exposed
+    graphs = []
+
+    def spy(g):
+        graphs.append(g)
+        return maximum_matching(g)
+
+    monkeypatch.setattr(recognition, "maximum_matching", spy)
+    rng = random.Random("shuffled")
+    fixtures = [gadget_a(4), double_subdivision(petersen())]
+    fixtures += [_dense_star(seed) for seed in range(20)]
+    for inst in fixtures:
+        shuffled = _shuffled(inst, rng)
+        assert recognize_h(shuffled).equal == recognize_h(inst).equal
+    assert len(graphs) > 60
+    for g in graphs:
+        pairs = range(g.n // 2)
+        missing = [s for s in pairs if not g.has_edge(2 * s, 2 * s + 1)]
+        assert g.n % 2 == 0 and len(missing) == 1
 
 
 def test_recognize_scales_to_large_trees():

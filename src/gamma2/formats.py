@@ -104,6 +104,8 @@ def parse_instance(text: str) -> PartitionedInstance:
         data: Any = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("instance JSON must be an object")
     for key in ("n", "edges", "d", "pairs"):

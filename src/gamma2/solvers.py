@@ -10,8 +10,10 @@ disjoint option pools, and the counting bound: one more vertex meets at
 most (max degree + k) units of outstanding need, which gives
 gamma_k >= kn / (max degree + k) at the root (Fink and Jacobson 1985).
 Deciding gamma_2 = gamma is NP-hard, so the search stays exponential in
-the worst case; cycles of hundreds to thousands of vertices, where both
-bounds meet the optimum, solve at the root within tens of milliseconds.
+the worst case and has no size guard; cycles of hundreds to thousands of
+vertices, where both bounds meet the optimum, solve at the root within
+tens of milliseconds.  The search is one loop over an explicit stack, so
+its depth does not depend on the interpreter's recursion limit.
 ``gamma_k_bruteforce`` enumerates subsets by increasing size and is the
 independent oracle used to validate it on small graphs.
 """
@@ -115,7 +117,8 @@ def _solve_component(adj: list[int], k: int) -> tuple[int, int]:
     """Minimum k-dominating set of one component given bitmask adjacency.
 
     Returns (size, chosen_mask).  The search is deterministic: branch
-    vertices and propagation order depend only on vertex indices.
+    vertices and propagation order depend only on vertex indices.  Search
+    nodes are (chosen, excluded) masks on one explicit stack.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -123,86 +126,82 @@ def _solve_component(adj: list[int], k: int) -> tuple[int, int]:
     best = best_mask.bit_count()
     # One more vertex u in D meets at most deg(u) + k units of need.
     reach = max(mask.bit_count() for mask in adj) + k
-
-    def dfs(chosen: int, excluded: int, size: int) -> None:
-        nonlocal best, best_mask
-        # Entered only with size < best: the include branch follows a
-        # failed size + bound >= best test with bound >= 1, and whatever
-        # it finds has more than ``size`` vertices.
+    stack = [(0, 0)]
+    while stack:
+        chosen, excluded = stack.pop()
+        size = chosen.bit_count()
+        if size >= best:
+            continue
         # Unit propagation: a vertex short of options is forced, a vertex
         # with exactly as many undecided neighbours as it still needs
-        # forces all of them.  The pass that forces nothing leaves the
-        # deficient vertices with their option pools.
-        while True:
-            undecided = full & ~chosen & ~excluded
-            forced = 0
-            deficient: list[tuple[int, int, int]] = []  # (vertex, need, options)
-            for v in range(n):
-                bit = 1 << v
-                if chosen & bit:
-                    continue
-                need = k - (adj[v] & chosen).bit_count()
-                if need <= 0:
-                    continue
-                options = adj[v] & undecided
-                avail = options.bit_count()
-                if excluded & bit:
-                    if avail < need:
-                        return  # dead branch
-                    if avail == need:
-                        forced |= options
-                else:
-                    if avail < need:
-                        forced |= bit  # cannot stay outside
-                    options |= bit
-                deficient.append((v, need, options))
-            if not forced:
-                break
-            chosen |= forced
-            size += forced.bit_count()
-            if size >= best:
-                return
-
-        if not deficient:
-            best = size
-            best_mask = chosen
-            return
-
-        # Lower bound: deficient vertices with pairwise disjoint option
-        # pools require that many separate selections.
-        bound = 0
-        used = 0
-        for v, need, options in sorted(
-            deficient, key=lambda t: t[2].bit_count()
-        ):
-            if options & used:
+        # forces all of them.  A pass that forces something pushes the
+        # grown node to be propagated next; the pass that forces nothing
+        # leaves the deficient vertices with their option pools.
+        undecided = full & ~chosen & ~excluded
+        forced = 0
+        deficient: list[tuple[int, int, int]] = []  # (vertex, need, options)
+        for v in range(n):
+            bit = 1 << v
+            if chosen & bit:
                 continue
-            used |= options
-            bound += need if excluded >> v & 1 else 1
-        if size + bound >= best:
-            return
-        # Counting bound: kn / (max degree + k) at the root.
-        outstanding = sum(need for _, need, _ in deficient)
-        if size - (-outstanding // reach) >= best:
-            return
+            need = k - (adj[v] & chosen).bit_count()
+            if need <= 0:
+                continue
+            options = adj[v] & undecided
+            avail = options.bit_count()
+            if excluded & bit:
+                if avail < need:
+                    break  # dead branch
+                if avail == need:
+                    forced |= options
+            else:
+                if avail < need:
+                    forced |= bit  # cannot stay outside
+                options |= bit
+            deficient.append((v, need, options))
+        else:  # no dead vertex
+            if forced:
+                stack.append((chosen | forced, excluded))
+                continue
+            if not deficient:
+                best = size
+                best_mask = chosen
+                continue
 
-        # Branch on the most constrained vertex's most useful option.
-        deficiency_mask = 0
-        for v, _, _ in deficient:
-            deficiency_mask |= 1 << v
-        v, need, options = min(
-            deficient, key=lambda t: (t[2].bit_count() - t[1], t[0])
-        )
-        pivot, pivot_score = -1, -1
-        for u in _bit_list(options):
-            score = (adj[u] & deficiency_mask).bit_count()
-            score += deficiency_mask >> u & 1
-            if score > pivot_score:
-                pivot, pivot_score = u, score
-        dfs(chosen | (1 << pivot), excluded, size + 1)
-        dfs(chosen, excluded | (1 << pivot), size)
+            # Lower bound: deficient vertices with pairwise disjoint option
+            # pools require that many separate selections.
+            bound = 0
+            used = 0
+            for v, need, options in sorted(
+                deficient, key=lambda t: t[2].bit_count()
+            ):
+                if options & used:
+                    continue
+                used |= options
+                bound += need if excluded >> v & 1 else 1
+            if size + bound >= best:
+                continue
+            # Counting bound: kn / (max degree + k) at the root.
+            outstanding = sum(need for _, need, _ in deficient)
+            if size - (-outstanding // reach) >= best:
+                continue
 
-    dfs(0, 0, 0)
+            # Branch on the most constrained vertex's most useful option.
+            deficiency_mask = 0
+            for v, _, _ in deficient:
+                deficiency_mask |= 1 << v
+            v, need, options = min(
+                deficient, key=lambda t: (t[2].bit_count() - t[1], t[0])
+            )
+            pivot, pivot_score = -1, -1
+            for u in _bit_list(options):
+                score = (adj[u] & deficiency_mask).bit_count()
+                score += deficiency_mask >> u & 1
+                if score > pivot_score:
+                    pivot, pivot_score = u, score
+            # Pushed last, the include child is searched first.
+            stack.append((chosen, excluded | (1 << pivot)))
+            stack.append((chosen | (1 << pivot), excluded))
     return best, best_mask
 
 

@@ -338,17 +338,12 @@ def _check_private_pair_structure(rng: random.Random, budget: int) -> Iterator[t
                     if w not in dd
                     and set(g.neighbors(w)) & dd == {u, v}
                 ]
-                pair = [
-                    (a, b)
-                    for a, b in combinations(mates, 2)
-                    if not g.has_edge(a, b)
-                ]
-                if not pair:
+                if all(g.has_edge(a, b) for a, b in combinations(mates, 2)):
                     ok = False
                     break
-                a, b = pair[0]
-                # u, a, v, b must induce a 4-cycle
-                if g.has_edge(u, v) or g.has_edge(a, b):
+                # Some two mates a, b are non-adjacent, so u, a, v, b
+                # induce a 4-cycle exactly when u, v is a non-edge too.
+                if g.has_edge(u, v):
                     ok = False
                     break
             if not ok:

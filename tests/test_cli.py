@@ -105,6 +105,13 @@ def test_recognize_h_invalid_instance_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_recognize_h_deeply_nested_json_exits_2(tmp_path, capsys):
+    inst_file = tmp_path / "deep.json"
+    inst_file.write_text("[" * 100000)
+    assert main(["recognize", "h", str(inst_file)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_recognize_perfect_exit_codes(capsys, c4_file, c5_file):
     assert main(["recognize", "perfect", c4_file]) == 0
     assert "PERFECT" in capsys.readouterr().out

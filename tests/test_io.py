@@ -164,6 +164,11 @@ def test_instance_json_rejects_non_json():
         parse_instance("not json at all {")
 
 
+def test_instance_json_nested_too_deeply_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_instance("[" * 100000)
+
+
 # --- DIMACS CNF ------------------------------------------------------------
 
 

@@ -1,7 +1,10 @@
 """Exact k-domination solvers and the 3-CNF helpers."""
 
+import hashlib
 import random
+import sys
 import time
+import traceback
 from itertools import product
 
 import pytest
@@ -19,7 +22,7 @@ from gamma2 import (
     is_k_dominating,
     triple_cover_holds,
 )
-from gamma2.constructions import complete, cycle, path, star
+from gamma2.constructions import complete, cycle, path, random_graph, star
 from gamma2.solvers import (
     BRUTE_FORCE_VERTEX_LIMIT,
     SAT_VARIABLE_LIMIT,
@@ -153,6 +156,39 @@ def test_gamma_k_scales_on_long_cycles(n, k):
     start = time.perf_counter()
     assert gamma_k(cycle(n), k).number == k * n // (2 + k)
     assert time.perf_counter() - start < 5.0
+
+
+def test_witnesses_are_pinned():
+    # gamma_k's numbers and witnesses on a seeded corpus: a change that
+    # alters any of them must update this digest and say so.
+    rng = random.Random(2019)
+    graphs = [
+        random_graph(rng, rng.randint(1, 20), rng.choice([0.1, 0.2, 0.3, 0.5]))
+        for _ in range(300)
+    ]
+    cases = [(g, k) for g in graphs for k in (1, 2, 3)]
+    cases += [(cycle(n), k) for n in range(3, 31) for k in (1, 2)]
+    digest = hashlib.sha256()
+    for g, k in cases:
+        result = gamma_k(g, k)
+        digest.update(f"{result.number}:{sorted(result.witness)};".encode())
+    assert digest.hexdigest() == (
+        "57253c128b031fb91e8c49563f288e26ac335f11b4c94a81d4d9c9bdf9032d6c"
+    )
+
+
+def test_search_depth_does_not_depend_on_the_recursion_limit():
+    rng = random.Random(8)
+    tree = from_edges(200, [(v, rng.randrange(v)) for v in range(1, 200)])
+    expected = gamma_k(tree, 1)
+    # The search needs a handful of frames here; a recursive one needs
+    # one per level, about 80 on this tree.
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(traceback.extract_stack()) + 40)
+    try:
+        assert gamma_k(tree, 1) == expected
+    finally:
+        sys.setrecursionlimit(old_limit)
 
 
 def test_bruteforce_rejects_large_graphs():

@@ -431,8 +431,13 @@ def random_h_instance(
     Rejection-samples the underlying graph (up to 1000 attempts; returns
     None when the budget runs out), doubly subdivides it and sprinkles
     supplementary edges among the subdivision vertices, never inside one
-    pair.
+    pair.  Both probabilities must lie in [0, 1].
     """
+    for name, p in (
+        ("edge", f_edge_prob), ("supplementary edge", supp_edge_prob)
+    ):
+        if not 0.0 <= p <= 1.0:  # also rejects NaN
+            raise ValueError(f"{name} probability must be in [0, 1], got {p}")
     rng = random.Random(seed)
     for _ in range(RANDOM_INSTANCE_ATTEMPTS):
         f = random_graph(rng, f_size, f_edge_prob)

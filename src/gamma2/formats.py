@@ -22,6 +22,19 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+def _check_decimal(text: str) -> None:
+    """Raise ``ValueError`` if ``int()`` could read a token of ``text``
+    that is not ASCII decimal (``-?[0-9]+``).
+
+    ``int()`` also reads ``1_0`` as 10, ``+1`` as 1 and the digits of other
+    scripts (Arabic-Indic one as 1).  On ASCII text without ``_`` or ``+``
+    it reads only ``-?[0-9]+`` tokens, so every parser here checks a line
+    with this before it calls ``int()`` on the line's tokens.
+    """
+    if not text.isascii() or "_" in text or "+" in text:
+        raise ValueError(f"not ASCII decimal: {text!r}")
+
+
 def _content_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -45,6 +58,7 @@ def parse_graph(text: str) -> Graph:
     if len(parts) != 2:
         raise ParseError(f"expected header 'n m', got {header!r}", lineno)
     try:
+        _check_decimal(header)
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise ParseError(f"non-integer header {header!r}", lineno) from None
@@ -66,6 +80,7 @@ def parse_graph(text: str) -> Graph:
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", lineno)
         try:
+            _check_decimal(line)
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"non-integer edge {line!r}", lineno) from None
@@ -158,10 +173,11 @@ def parse_instance(text: str) -> PartitionedInstance:
     labels: dict[int, str] = {}
     for key_str, value in raw_labels.items():
         try:
+            _check_decimal(key_str)
             vertex = int(key_str)
         except ValueError:
             vertex = -1
-        # int() also takes " 2" and "1_0": only a vertex's decimal form
+        # only a vertex's own decimal form: not " 7", "07" or "-0"
         if not (0 <= vertex < n and str(vertex) == key_str):
             raise ParseError(f"label key {key_str!r} is not a vertex")
         labels[vertex] = str(value)
@@ -208,6 +224,7 @@ def parse_cnf(text: str) -> CnfFormula:
                     f"expected 'p cnf <vars> <clauses>', got {line!r}", lineno
                 )
             try:
+                _check_decimal(line)
                 num_vars, promised = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"non-integer problem line {line!r}", lineno) from None
@@ -215,6 +232,7 @@ def parse_cnf(text: str) -> CnfFormula:
         if num_vars is None:
             raise ParseError("clause before the problem line", lineno)
         try:
+            _check_decimal(line)
             tokens = [int(t) for t in line.split()]
         except ValueError:
             raise ParseError(f"non-integer literal in {line!r}", lineno) from None

@@ -5,10 +5,14 @@ neighbours inside D; gamma_k is the minimum size of such a set.
 
 ``gamma_k`` runs a branch-and-bound search per connected component.  It
 starts from a greedy upper bound, propagates forced choices at each node,
-and prunes with two lower bounds: deficient vertices with pairwise
-disjoint option pools, and the counting bound: one more vertex meets at
-most (max degree + k) units of outstanding need, which gives
+and prunes with two lower bounds: needy vertices with pairwise disjoint
+option pools, and the counting bound: one more vertex meets at most
+(max degree + k) units of outstanding need, which gives
 gamma_k >= kn / (max degree + k) at the root (Fink and Jacobson 1985).
+Each node carries coverage levels, bit masks of the vertices with more
+than j chosen neighbours for j below min(k, max degree + 1), so a node
+visits only its still-needy vertices, not all n, and adding a vertex
+costs one mask operation per level.
 Deciding gamma_2 = gamma is NP-hard, so the search stays exponential in
 the worst case and has no size guard; cycles of hundreds to thousands of
 vertices, where both bounds meet the optimum, solve at the root within
@@ -118,90 +122,112 @@ def _solve_component(adj: list[int], k: int) -> tuple[int, int]:
 
     Returns (size, chosen_mask).  The search is deterministic: branch
     vertices and propagation order depend only on vertex indices.  Search
-    nodes are (chosen, excluded) masks on one explicit stack.
+    nodes sit on one explicit stack as (chosen, excluded, levels, added).
+    ``levels`` is a bit-sliced count of chosen neighbours: ``levels[j]``
+    holds the vertices with more than j of them among ``chosen & ~added``,
+    and the node brings it up to date for ``added`` only once it survives
+    the size test.  Adding a vertex costs one mask operation per level.
+    No vertex has more chosen neighbours than the maximum degree, so there
+    are min(k, max degree + 1) levels, and ``levels[-1]`` holds the
+    vertices that need nothing more.  Each node then visits only the
+    still-needy vertices outside ``chosen | levels[-1]``, in ascending
+    order, and gathers their needs, option pools and the branch vertex in
+    that one pass.
     """
     n = len(adj)
     full = (1 << n) - 1
     best_mask = _greedy_cover_mask(adj, k)
     best = best_mask.bit_count()
+    degree = max(mask.bit_count() for mask in adj)
     # One more vertex u in D meets at most deg(u) + k units of need.
-    reach = max(mask.bit_count() for mask in adj) + k
-    stack = [(0, 0)]
+    reach = degree + k
+    top = min(k, degree + 1)
+    stack = [(0, 0, [0] * top, 0)]
     while stack:
-        chosen, excluded = stack.pop()
+        chosen, excluded, levels, added = stack.pop()
         size = chosen.bit_count()
         if size >= best:
             continue
+        if added:
+            levels = levels[:]
+            for u in _bit_list(added):
+                nbrs = adj[u]
+                for j in range(top - 1, 0, -1):
+                    levels[j] |= levels[j - 1] & nbrs
+                levels[0] |= nbrs
         # Unit propagation: a vertex short of options is forced, a vertex
         # with exactly as many undecided neighbours as it still needs
         # forces all of them.  A pass that forces something pushes the
         # grown node to be propagated next; the pass that forces nothing
-        # leaves the deficient vertices with their option pools.
+        # leaves the needy vertices with their option pools.
         undecided = full & ~chosen & ~excluded
+        needy = full & ~chosen & ~levels[-1]
         forced = 0
-        deficient: list[tuple[int, int, int]] = []  # (vertex, need, options)
-        for v in range(n):
-            bit = 1 << v
-            if chosen & bit:
-                continue
-            need = k - (adj[v] & chosen).bit_count()
-            if need <= 0:
-                continue
-            options = adj[v] & undecided
+        outstanding = 0
+        slack = n  # exceeds every pool size minus need
+        branch_options = 0
+        # (pool size, v, need the pool must meet, options)
+        pools: list[tuple[int, int, int, int]] = []
+        rest = needy
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            nbrs = adj[v]
+            need = k - (nbrs & chosen).bit_count()
+            options = nbrs & undecided
             avail = options.bit_count()
             if excluded & bit:
                 if avail < need:
                     break  # dead branch
                 if avail == need:
                     forced |= options
+                pool_need = need
             else:
                 if avail < need:
                     forced |= bit  # cannot stay outside
                 options |= bit
-            deficient.append((v, need, options))
+                avail += 1
+                pool_need = 1  # choosing v itself meets all of its need
+            outstanding += need
+            if avail - need < slack:
+                slack, branch_options = avail - need, options
+            pools.append((avail, v, pool_need, options))
         else:  # no dead vertex
             if forced:
-                stack.append((chosen | forced, excluded))
+                stack.append((chosen | forced, excluded, levels, forced))
                 continue
-            if not deficient:
+            if not needy:
                 best = size
                 best_mask = chosen
                 continue
 
-            # Lower bound: deficient vertices with pairwise disjoint option
-            # pools require that many separate selections.
+            # Lower bound: needy vertices with pairwise disjoint option
+            # pools, smallest pools first, require that many separate
+            # selections.
             bound = 0
             used = 0
-            for v, need, options in sorted(
-                deficient, key=lambda t: t[2].bit_count()
-            ):
+            for _, _, pool_need, options in sorted(pools):
                 if options & used:
                     continue
                 used |= options
-                bound += need if excluded >> v & 1 else 1
+                bound += pool_need
             if size + bound >= best:
                 continue
             # Counting bound: kn / (max degree + k) at the root.
-            outstanding = sum(need for _, need, _ in deficient)
             if size - (-outstanding // reach) >= best:
                 continue
 
             # Branch on the most constrained vertex's most useful option.
-            deficiency_mask = 0
-            for v, _, _ in deficient:
-                deficiency_mask |= 1 << v
-            v, need, options = min(
-                deficient, key=lambda t: (t[2].bit_count() - t[1], t[0])
-            )
             pivot, pivot_score = -1, -1
-            for u in _bit_list(options):
-                score = (adj[u] & deficiency_mask).bit_count()
-                score += deficiency_mask >> u & 1
+            for u in _bit_list(branch_options):
+                score = (adj[u] & needy).bit_count() + (needy >> u & 1)
                 if score > pivot_score:
                     pivot, pivot_score = u, score
+            bit = 1 << pivot
             # Pushed last, the include child is searched first.
-            stack.append((chosen, excluded | (1 << pivot)))
-            stack.append((chosen | (1 << pivot), excluded))
+            stack.append((chosen, excluded | bit, levels, 0))
+            stack.append((chosen | bit, excluded, levels, bit))
     return best, best_mask
 
 

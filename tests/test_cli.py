@@ -65,6 +65,16 @@ def test_gen_random_h_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--ep", "2"), ("--sp", "-1"), ("--ep", "nan")]
+)
+def test_gen_random_h_rejects_probabilities_outside_unit_interval(
+    capsys, flag, value
+):
+    assert main(["gen", "random-h", "--size", "3", flag, value]) == 2
+    assert "probability" in capsys.readouterr().err
+
+
 def test_solve_prints_number_and_witness(capsys, c5_file):
     assert main(["solve", "--k", "2", c5_file]) == 0
     out = capsys.readouterr().out
@@ -175,6 +185,13 @@ def test_malformed_graph_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 1\n0 7\n")
     assert main(["match", str(bad)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_solve_underscore_token_exits_2(tmp_path, capsys):
+    bad = tmp_path / "underscore.txt"
+    bad.write_text("12 1\n0 1_0\n")
+    assert main(["solve", "--k", "1", str(bad)]) == 2
     assert "line 2" in capsys.readouterr().err
 
 

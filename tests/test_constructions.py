@@ -308,6 +308,14 @@ def test_random_h_instance_is_deterministic_and_valid():
     assert validate_h(a).valid
 
 
+@pytest.mark.parametrize(
+    "ep, sp", [(2.0, 0.25), (-0.1, 0.25), (0.35, -1.0), (0.35, float("nan"))]
+)
+def test_random_h_instance_rejects_probabilities_outside_unit_interval(ep, sp):
+    with pytest.raises(ValueError, match="probability"):
+        random_h_instance(3, ep, sp, seed=0)
+
+
 def test_random_h_instance_degenerate_size():
     inst = random_h_instance(1, 0.5, 0.5, seed=3)
     assert inst is not None

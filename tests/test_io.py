@@ -65,6 +65,13 @@ def test_graph_roundtrip(n, raw_edges):
         ("0 -1\n", 1),                # negative edge count, empty body
         ("3 -1\n0 1\n", 1),           # negative edge count
         ("-2 0\n", 1),                # negative vertex count
+        # only ASCII decimal tokens: int() reads "1_0" as 10, "+1" as 1
+        # and the Arabic-Indic digit one as 1
+        ("12 1\n0 1_0\n", 2),
+        ("12 1\n0 +1\n", 2),
+        ("12 1\n0 \u0661\n", 2),
+        ("1_0 0\n", 1),
+        ("\u0661 0\n", 1),
     ],
 )
 def test_parse_graph_errors_carry_line_numbers(text, line):
@@ -119,6 +126,8 @@ def _tamper(mutate):
         (lambda d: d["labels"].update({"-3": "neg"}), "label key '-3'"),
         (lambda d: d["labels"].update({" 2": "pad"}), "label key ' 2'"),
         (lambda d: d["labels"].update({"1_0": "ten"}), "label key '1_0'"),
+        (lambda d: d["labels"].update({"\u0661": "one"}), "is not a vertex"),
+        (lambda d: d["labels"].update({"01": "pad"}), "label key '01'"),
         # JSON booleans are not integers here
         (lambda d: d.update(n=True), "'n' must be a non-negative integer"),
         (lambda d: d["d"].append(True), "'d' must list vertices"),
@@ -199,6 +208,10 @@ def test_cnf_roundtrip():
         "p cnf 3 2\n1 2 3 0\n",       # fewer clauses than promised
         "p cnf 3 1\n1 2 3 0\n1 2 3 0\n",  # more clauses than promised
         "p cnf 3 1\n1 2 3\n",         # unterminated clause
+        "p cnf 20 1\n1 2 1_0 0\n",    # not ASCII decimal: int() reads 10
+        "p cnf 20 1\n1 2 \u0663 0\n",  # Arabic-Indic three: int() reads 3
+        "p cnf 1_0 0\n",             # int() reads 10
+        "p cnf \u0661 0\n",          # Arabic-Indic one: int() reads 1
     ],
 )
 def test_parse_cnf_errors(text):

@@ -5,6 +5,7 @@ import random
 import sys
 import time
 import traceback
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -22,13 +23,25 @@ from gamma2 import (
     is_k_dominating,
     triple_cover_holds,
 )
-from gamma2.constructions import complete, cycle, path, random_graph, star
+from gamma2.constructions import (
+    complete,
+    cycle,
+    path,
+    random_graph,
+    reduce_3sat,
+    star,
+)
 from gamma2.solvers import (
     BRUTE_FORCE_VERTEX_LIMIT,
     SAT_VARIABLE_LIMIT,
     _greedy_cover_mask,
 )
-from gamma2.verify import UNSAT_COVERED_6, UNSAT_COVERED_7, covered_formula
+from gamma2.verify import (
+    UNSAT_COVERED_6,
+    UNSAT_COVERED_7,
+    covered_formula,
+    random_formula,
+)
 
 
 def test_is_k_dominating_basics():
@@ -175,6 +188,43 @@ def test_witnesses_are_pinned():
     assert digest.hexdigest() == (
         "57253c128b031fb91e8c49563f288e26ac335f11b4c94a81d4d9c9bdf9032d6c"
     )
+
+
+def test_witnesses_are_pinned_on_3sat_reductions():
+    # The corpus above stops at 20 vertices; these reduction graphs have
+    # 36-64, where the search is longest.  Same rule: a change that alters
+    # a number or witness must update the digest and say so.
+    rng = random.Random(2019)
+    formulas = [UNSAT_COVERED_6, UNSAT_COVERED_7]
+    formulas += [covered_formula(rng, v) for v in (6, 7)]
+    formulas += [
+        random_formula(rng, v, m)
+        for v in (6, 7) for m in (20, 30, 40) for _ in range(2)
+    ]
+    assert [cnf_satisfiable(f) is not None for f in formulas].count(False) == 6
+    graphs = [reduce_3sat(f).instance.g for f in formulas]
+    assert min(g.n for g in graphs) == 36 and max(g.n for g in graphs) == 64
+    digest = hashlib.sha256()
+    for g in graphs:
+        for k in (1, 2):
+            result = gamma_k(g, k)
+            digest.update(f"{result.number}:{sorted(result.witness)};".encode())
+    assert digest.hexdigest() == (
+        "a04e8187972c53461c8e4908bcbed229a80e8e7c208c3a08ce04dc3017abc4a0"
+    )
+
+
+def test_search_state_does_not_grow_with_k_beyond_the_max_degree():
+    # No vertex has more than max-degree chosen neighbours, so neither the
+    # time nor the memory of the search may grow with k beyond that.
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert gamma_k(cycle(40), 10**6).number == 40
+        assert time.perf_counter() - start < 1.0
+        assert tracemalloc.get_traced_memory()[1] < 100_000  # bytes
+    finally:
+        tracemalloc.stop()
 
 
 def test_search_depth_does_not_depend_on_the_recursion_limit():

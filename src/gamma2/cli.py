@@ -61,12 +61,9 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _parse_multiplicities(raw: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in raw.split(","))
+        return tuple(int(part) for part in raw.split(","))
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {raw!r}")
-    if not values:
-        raise ValueError("at least one multiplicity is required")
-    return values
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

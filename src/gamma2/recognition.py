@@ -33,7 +33,7 @@ from .graph import (
     short_cycle,
 )
 from .matching import maximum_matching
-from .solvers import is_gamma_gamma2_graph
+from .solvers import gamma_k_masks
 
 FORBIDDEN_CHECK_VERTEX_LIMIT = 14
 PERFECT_ORACLE_VERTEX_LIMIT = 13
@@ -527,6 +527,9 @@ def _has_long_path_or_cycle(g: Graph) -> bool:
 def perfect_oracle(g: Graph) -> bool:
     """Definitional oracle: every induced subgraph of minimum degree >= 2
     has equal domination and 2-domination numbers.  At most 13 vertices.
+
+    Each subset of minimum degree >= 2 is solved on the host's adjacency
+    masks, with no induced ``Graph`` per subset.
     """
     if g.n > PERFECT_ORACLE_VERTEX_LIMIT:
         raise ValueError(
@@ -547,8 +550,7 @@ def perfect_oracle(g: Graph) -> bool:
                 break
         if not ok:
             continue
-        vertices = [v for v in range(g.n) if subset >> v & 1]
-        sub, _ = induced_subgraph(g, vertices)
-        if not is_gamma_gamma2_graph(sub):
+        gamma = gamma_k_masks(masks, subset, 1)[0]
+        if gamma_k_masks(masks, subset, 2)[0] != gamma:
             return False
     return True

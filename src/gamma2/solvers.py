@@ -3,12 +3,16 @@
 A set D is k-dominating when every vertex outside D has at least k
 neighbours inside D; gamma_k is the minimum size of such a set.
 
-``gamma_k`` runs a branch-and-bound search per connected component.  It
-starts from a greedy upper bound, propagates forced choices at each node,
-and prunes with two lower bounds: needy vertices with pairwise disjoint
-option pools, and the counting bound: one more vertex meets at most
-(max degree + k) units of outstanding need, which gives
-gamma_k >= kn / (max degree + k) at the root (Fink and Jacobson 1985).
+``gamma_k`` works on the graph's adjacency bitmasks from start to finish
+through ``gamma_k_masks``, which ``perfect_oracle`` also calls on vertex
+subsets: components are found by flood fill on the masks, and no
+``Graph`` is built per component or per subset.  Each component gets a
+branch-and-bound search.  It starts from a greedy upper bound,
+propagates forced choices at each node, and prunes with two lower
+bounds: needy vertices with pairwise disjoint option pools, and the
+counting bound: one more vertex meets at most (max degree + k) units of
+outstanding need, which gives gamma_k >= kn / (max degree + k) at the
+root (Fink and Jacobson 1985).
 Each node carries coverage levels, bit masks of the vertices with more
 than j chosen neighbours for j below min(k, max degree + 1), so a node
 visits only its still-needy vertices, not all n, and adding a vertex
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
-from .graph import Graph, components, induced_subgraph
+from .graph import Graph
 
 BRUTE_FORCE_VERTEX_LIMIT = 22
 SAT_VARIABLE_LIMIT = 20
@@ -43,10 +47,15 @@ class DominationResult:
     witness: frozenset[int]
 
 
+def _check_k(k: int) -> None:
+    # One domain for every route: 2.0, 1.5 and True are not orders.
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be an int >= 1, got {k!r}")
+
+
 def is_k_dominating(g: Graph, s: Iterable[int], k: int) -> bool:
     """True iff every vertex outside ``s`` has >= k neighbours in ``s``."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k)
     ss = set(s)
     for v in ss:
         if not 0 <= v < g.n:
@@ -70,39 +79,41 @@ def _greedy_cover_mask(adj: list[int], k: int) -> int:
     needy neighbours plus its own need), ties to the lowest index.  The
     scores are updated around the chosen vertex only, so a step costs at
     most its second neighbourhood plus one ``max`` over the score list.
+    Neighbourhoods are read off the masks only where a score changes.
     """
     n = len(adj)
-    nbrs = [_bit_list(mask) for mask in adj]
     chosen = 0
     for v in range(n):
-        if len(nbrs[v]) < k:
+        if adj[v].bit_count() < k:
             chosen |= 1 << v  # can never be k-dominated from outside
     need = [
         0 if chosen >> v & 1 else max(0, k - (adj[v] & chosen).bit_count())
         for v in range(n)
     ]
+    needy_mask = sum(1 << v for v in range(n) if need[v])
     # Chosen vertices score below every candidate and are only decremented.
     score = [
-        -1 if chosen >> u & 1 else need[u] + sum(1 for v in nbrs[u] if need[v])
+        -1 if chosen >> u & 1 else need[u] + (adj[u] & needy_mask).bit_count()
         for u in range(n)
     ]
-    needy = n - need.count(0)
+    needy = needy_mask.bit_count()
     while needy:
         u = score.index(max(score))
         chosen |= 1 << u
         score[u] = -1
+        nbrs = _bit_list(adj[u])
         if need[u]:
             need[u] = 0
             needy -= 1
-            for w in nbrs[u]:
+            for w in nbrs:
                 score[w] -= 1
-        for v in nbrs[u]:
+        for v in nbrs:
             if need[v]:
                 need[v] -= 1
                 score[v] -= 1
                 if not need[v]:
                     needy -= 1
-                    for w in nbrs[v]:
+                    for w in _bit_list(adj[v]):
                         score[w] -= 1
     return chosen
 
@@ -231,22 +242,59 @@ def _solve_component(adj: list[int], k: int) -> tuple[int, int]:
     return best, best_mask
 
 
+def gamma_k_masks(adj: list[int], within: int, k: int) -> tuple[int, int]:
+    """gamma_k of the subgraph induced on the vertex mask ``within``.
+
+    ``adj`` is the bitmask adjacency of the host graph, and the returned
+    witness is a vertex mask in the host's labels.  Components are found
+    by flood fill on the masks.  A component that is the whole host is
+    solved on ``adj`` itself; any other is relabelled to 0..|C|-1 in
+    ascending vertex order, the numbering ``induced_subgraph`` gives.
+    ``k`` must already be valid: ``gamma_k`` checks it.
+    """
+    full = (1 << len(adj)) - 1
+    total = witness = 0
+    rest = within
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0  # neighbours of the last layer, one bit at a time
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & rest & ~comp
+            comp |= frontier
+        rest ^= comp
+        if comp == full:
+            return _solve_component(adj, k)
+        vertices = _bit_list(comp)
+        label = {1 << v: 1 << i for i, v in enumerate(vertices)}  # host bit
+        sub = []
+        for v in vertices:
+            nbrs = adj[v] & comp
+            row = 0
+            while nbrs:
+                low = nbrs & -nbrs
+                row |= label[low]
+                nbrs ^= low
+            sub.append(row)
+        size, mask = _solve_component(sub, k)
+        total += size
+        for i in _bit_list(mask):
+            witness |= 1 << vertices[i]
+    return total, witness
+
+
 def gamma_k(g: Graph, k: int) -> DominationResult:
     """Exact k-domination number with a deterministic witness.
 
-    Solved independently per connected component; the empty graph has
-    gamma_k = 0.
+    Solved independently per connected component, found on the adjacency
+    masks (``gamma_k_masks``); the empty graph has gamma_k = 0.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    total = 0
-    witness: set[int] = set()
-    for comp in components(g):
-        sub, mapping = induced_subgraph(g, comp)
-        size, mask = _solve_component(sub.adjacency_masks(), k)
-        total += size
-        witness.update(mapping[i] for i in range(sub.n) if mask >> i & 1)
-    return DominationResult(k, total, frozenset(witness))
+    _check_k(k)
+    number, witness = gamma_k_masks(g.adjacency_masks(), (1 << g.n) - 1, k)
+    return DominationResult(k, number, frozenset(_bit_list(witness)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +325,7 @@ def _k_dominating_by_size(
     """For each size 0..n in turn, a lazy stream of the k-dominating
     subsets of that size in lexicographic order.  ``what`` names the
     caller in the size-guard error."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k)
     _check_oracle_size(g, what)
     masks = g.adjacency_masks()
     bits = [1 << v for v in range(g.n)]

@@ -42,6 +42,9 @@ def test_gen_s_and_t6(capsys):
 def test_gen_s_rejects_garbage(capsys):
     assert main(["gen", "s", "2,x"]) == 2
     assert "error:" in capsys.readouterr().err
+    # "".split(",") is [""], so an empty list fails as a non-integer.
+    assert main(["gen", "s", ""]) == 2
+    assert "comma-separated integers" in capsys.readouterr().err
 
 
 def test_gen_joinc4_outputs_graph_text(capsys, c4_file):

@@ -38,8 +38,10 @@ from gamma2.constructions import (
     cycle,
     path,
     petersen,
+    random_graph,
     star,
 )
+from gamma2.graph import components, induced_subgraph
 from gamma2.recognition import (
     FORBIDDEN_CHECK_VERTEX_LIMIT,
     PERFECT_ORACLE_VERTEX_LIMIT,
@@ -410,6 +412,42 @@ def test_perfect_oracle_small_cases():
     assert perfect_oracle(gadget_s((2, 2)).g)
     assert not perfect_oracle(cycle(5))
     assert not perfect_oracle(complete(4))
+
+
+def _reference_perfect_oracle(g):
+    """The definition ``perfect_oracle`` must reproduce: an induced
+    ``Graph`` per vertex subset, and ``is_gamma_gamma2_graph`` on each one
+    of minimum degree >= 2."""
+    for size in range(3, g.n + 1):
+        for subset in combinations(range(g.n), size):
+            sub, _ = induced_subgraph(g, subset)
+            if sub.min_degree() >= 2 and not is_gamma_gamma2_graph(sub):
+                return False
+    return True
+
+
+def test_perfect_oracle_matches_the_induced_subgraph_definition():
+    # Unions of two random parts (one sometimes a 4-cycle) on <= 11
+    # vertices: mostly disconnected, often of minimum degree < 2.
+    rng = random.Random(11)
+    graphs = [from_edges(0, [])]
+    while len(graphs) < 300:
+        a = rng.randint(1, 11)
+        b = rng.randint(0, 11 - a)
+        if a >= 4 and rng.random() < 0.3:
+            left = cycle(4)
+        else:
+            left = random_graph(rng, a, rng.choice([0.25, 0.45, 0.7]))
+        right = random_graph(rng, b, rng.choice([0.25, 0.45, 0.7]))
+        edges = left.edge_list() + shift(right, left.n, b)
+        graphs.append(from_edges(left.n + b, edges))
+    verdicts = [perfect_oracle(g) for g in graphs]
+    assert verdicts == [_reference_perfect_oracle(g) for g in graphs]
+    cyclic = [g.m > g.n - len(components(g)) for g in graphs]
+    assert sum(c and v for c, v in zip(cyclic, verdicts)) >= 50  # not vacuous
+    assert verdicts.count(False) >= 100
+    assert sum(len(components(g)) > 1 for g in graphs) >= 200
+    assert sum(g.n > 0 and g.min_degree() < 2 for g in graphs) >= 200
 
 
 def test_size_guards():

@@ -31,6 +31,7 @@ from gamma2.constructions import (
     reduce_3sat,
     star,
 )
+from gamma2.graph import components
 from gamma2.solvers import (
     BRUTE_FORCE_VERTEX_LIMIT,
     SAT_VARIABLE_LIMIT,
@@ -214,6 +215,46 @@ def test_witnesses_are_pinned_on_3sat_reductions():
     )
 
 
+def _many_part_graph(rng, parts, isolated):
+    """Random trees and small G(n, p) parts plus isolated vertices, as one
+    disjoint union under a random labelling (like the bench ``forest``)."""
+    edges = []
+    n = 0
+    for _ in range(parts):
+        if rng.random() < 0.5:
+            size = rng.randint(5, 25)
+            part = [(v, rng.randrange(v)) for v in range(1, size)]
+        else:
+            size = rng.randint(4, 10)
+            part = random_graph(rng, size, 0.35).edge_list()
+        edges += [(u + n, v + n) for u, v in part]
+        n += size
+    n += isolated
+    label = list(range(n))
+    rng.shuffle(label)
+    return from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+def test_witnesses_are_pinned_on_many_components():
+    # Each component is relabelled and solved on its own; witnesses must
+    # map back to the same host vertices.  Same rule as above for the digest.
+    rng = random.Random(2020)
+    graphs = [
+        _many_part_graph(rng, rng.randint(10, 20), rng.randint(0, 5))
+        for _ in range(40)
+    ]
+    assert min(len(components(g)) for g in graphs) >= 10
+    graphs += [from_edges(n, []) for n in (0, 1, 7)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        for k in (1, 2):
+            result = gamma_k(g, k)
+            digest.update(f"{result.number}:{sorted(result.witness)};".encode())
+    assert digest.hexdigest() == (
+        "66eff216514810cb7c1cde177648ece4dc0ac90574530243e227e781d18c6b2c"
+    )
+
+
 def test_search_state_does_not_grow_with_k_beyond_the_max_degree():
     # No vertex has more than max-degree chosen neighbours, so neither the
     # time nor the memory of the search may grow with k beyond that.
@@ -268,6 +309,19 @@ def test_gamma_gamma2_graph_examples():
 def test_gamma_k_requires_positive_k():
     with pytest.raises(ValueError):
         gamma_k(cycle(3), 0)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.0, 1.5, True])
+def test_every_route_rejects_a_k_that_is_not_a_positive_int(k):
+    g = cycle(5)
+    with pytest.raises(ValueError, match="k must be an int >= 1"):
+        is_k_dominating(g, {0, 2}, k)
+    with pytest.raises(ValueError, match="k must be an int >= 1"):
+        gamma_k(g, k)
+    with pytest.raises(ValueError, match="k must be an int >= 1"):
+        gamma_k_bruteforce(g, k)
+    with pytest.raises(ValueError, match="k must be an int >= 1"):
+        enumerate_min_k_dominating(g, k)
 
 
 # --- 3-CNF helpers ---------------------------------------------------------

@@ -22,7 +22,7 @@ class Graph:
     to build a graph from an edge list with full validation.
     """
 
-    __slots__ = ("n", "_adj", "_m")
+    __slots__ = ("n", "_adj", "_m", "_masks")
 
     def __init__(self, n: int, adjacency: Iterable[Iterable[int]]):
         adj = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
@@ -31,6 +31,7 @@ class Graph:
         self.n = n
         self._adj = adj
         self._m = sum(len(row) for row in adj) // 2
+        self._masks: Optional[tuple[int, ...]] = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -71,9 +72,12 @@ class Graph:
             raise ValueError("maximum degree of the empty graph is undefined")
         return max(len(row) for row in self._adj)
 
-    def adjacency_masks(self) -> list[int]:
-        """Neighbourhoods as bitmasks, one int per vertex."""
-        return [sum(1 << u for u in row) for row in self._adj]
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Neighbourhoods as bitmasks, one int per vertex, built once."""
+        if self._masks is None:
+            # a list comprehension builds faster than tuple(genexpr)
+            self._masks = tuple([sum(1 << u for u in row) for row in self._adj])
+        return self._masks
 
     # -- dunder plumbing --------------------------------------------------
 
@@ -87,6 +91,23 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def check_order(k: int) -> None:
+    """The one domain of an order (the k of k-domination, a power's
+    exponent): an int >= 1.  2.0, 1.5 and True are not orders."""
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be an int >= 1, got {k!r}")
+
+
+def checked_vertices(g: Graph, s: Iterable[int]) -> set[int]:
+    """``s`` as a set, each member an int in 0..n-1 of ``g`` (never a
+    bool: True is not vertex 1)."""
+    ss = set(s)
+    for v in ss:
+        if type(v) is not int or not 0 <= v < g.n:
+            raise ValueError(f"vertex {v!r} outside 0..{g.n - 1}")
+    return ss
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -117,10 +138,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, list[int]]:
     Returns the subgraph together with the mapping from new labels back to
     the original vertices (``mapping[new] == old``), in sorted order.
     """
-    mapping = sorted(set(s))
-    for v in mapping:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+    mapping = sorted(checked_vertices(g, s))
     position = {old: new for new, old in enumerate(mapping)}
     adj = [
         [position[u] for u in g.neighbors(old) if u in position]
@@ -131,8 +149,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, list[int]]:
 
 def power(g: Graph, k: int) -> Graph:
     """k-th graph power: join vertices at distance 1..k (BFS per vertex)."""
-    if k < 1:
-        raise ValueError(f"power exponent must be >= 1, got {k}")
+    check_order(k)
     adj: list[set[int]] = [set() for _ in range(g.n)]
     for source in range(g.n):
         dist = {source: 0}
@@ -198,8 +215,5 @@ def short_cycle(g: Graph) -> Optional[int]:
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:
     """True iff no edge of ``g`` joins two vertices of ``s``."""
-    ss = set(s)
-    for v in ss:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+    ss = checked_vertices(g, s)
     return all(u not in ss for v in ss for u in g.neighbors(v))

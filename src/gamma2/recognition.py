@@ -26,6 +26,7 @@ from typing import Optional, Union
 from .constructions import PartitionedInstance
 from .graph import (
     Graph,
+    checked_vertices,
     components,
     from_edges,
     induced_subgraph,
@@ -80,11 +81,10 @@ def validate_h(inst: PartitionedInstance) -> HValidationReport:
     g, d = inst.g, inst.d
     failures: list[str] = []
 
-    for v in d:
-        if not 0 <= v < g.n:
-            return HValidationReport(
-                False, None, (f"D-vertex {v} outside 0..{g.n - 1}",)
-            )
+    try:
+        checked_vertices(g, d)
+    except ValueError as exc:  # "vertex v outside 0..n-1"
+        return HValidationReport(False, None, (f"D-{exc}",))
 
     for u in sorted(d):
         for w in g.neighbors(u):
@@ -274,7 +274,7 @@ def recognize_h(inst: PartitionedInstance) -> RecognitionVerdict:
 
     Near-linear: one pass over the instance (validation, the bridge scan
     over the supplementary edges, and each D-vertex's incident pairs and
-    local graph built from the rows of its own neighbours, numbered pair
+    local graph read off the rows of its own neighbours, numbered pair
     by pair), plus, per (D-vertex, incident pair), one maximum matching
     of the local graph without that pair's edge: one greedy pass and at
     most one augmenting search.
@@ -314,13 +314,11 @@ def recognize_h(inst: PartitionedInstance) -> RecognitionVerdict:
     # M0-alternating cycle through that pair's edge, so drop the edge from
     # the local graph: it keeps a perfect matching iff the ring exists,
     # and the matching traces it.
-    incident: dict[int, list[tuple[int, int]]] = {v: [] for v in d}
-    for key in inst.pair_map:
-        incident[key[0]].append(key)
-        incident[key[1]].append(key)
     matching_calls = 0
     for center in sorted(d):
-        keys = sorted(incident[center])
+        # after validation the centre's neighbours are exactly the
+        # vertices of its incident pairs
+        keys = sorted({pair_of[x] for x in g.neighbors(center)})
         if len(keys) < 2:
             continue
         # Local vertices 2s and 2s + 1 are the pair keys[s], so i ^ 1 is
@@ -409,10 +407,12 @@ class PerfectVerdict:
 def recognize_perfect(g: Graph) -> PerfectVerdict:
     """Structural recognizer for hereditary domination equality.
 
-    Accepts exactly the disjoint unions of doubled-subdivided stars.  The
-    candidate centre of each component must have maximum degree, every
-    other vertex is either a degree-2 subdivision vertex of the centre or
-    a leaf seeing >= 2 of them.  Requires minimum degree >= 2.
+    Accepts exactly the disjoint unions of doubled-subdivided stars.  Each
+    component is decided in place from its lowest-numbered vertex of
+    maximum degree: every other vertex must be a degree-2 subdivision
+    vertex of it or a leaf seeing >= 2 of them.  With two or more leaves
+    the centre is the only vertex of maximum degree; with one the star is
+    the symmetric K_{2,m}.  Requires minimum degree >= 2.
     """
     for v in range(g.n):
         if g.degree(v) < 2:
@@ -421,23 +421,18 @@ def recognize_perfect(g: Graph) -> PerfectVerdict:
                 f"vertex {v} has degree {g.degree(v)}"
             )
     for comp in components(g):
-        sub, mapping = induced_subgraph(g, comp)
-        if not _component_is_subdivided_star(sub):
+        if not _is_center(g, max(comp, key=g.degree), len(comp)):
             return PerfectVerdict(
                 False,
-                failing_component=tuple(mapping),
+                failing_component=tuple(comp),
                 reason="component is not a doubled-subdivided star",
             )
     return PerfectVerdict(True)
 
 
-def _component_is_subdivided_star(g: Graph) -> bool:
-    top = g.max_degree()
-    candidates = [v for v in range(g.n) if g.degree(v) == top]
-    return any(_is_center(g, v) for v in candidates)
-
-
-def _is_center(g: Graph, center: int) -> bool:
+def _is_center(g: Graph, center: int, order: int) -> bool:
+    """True iff ``center``'s component, of ``order`` vertices, is a
+    doubled-subdivided star centred there."""
     spokes = set(g.neighbors(center))
     leaf_of: dict[int, int] = {}
     for x in spokes:
@@ -449,7 +444,7 @@ def _is_center(g: Graph, center: int) -> bool:
             return False  # edge inside the neighbourhood
         leaf_of[x] = leaf
     leaves = set(leaf_of.values())
-    if g.n != 1 + len(spokes) + len(leaves):
+    if order != 1 + len(spokes) + len(leaves):
         return False
     for leaf in leaves:
         group = [x for x in spokes if leaf_of[x] == leaf]

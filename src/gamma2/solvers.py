@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .graph import Graph
+from .graph import Graph, check_order, checked_vertices
 
 BRUTE_FORCE_VERTEX_LIMIT = 22
 SAT_VARIABLE_LIMIT = 20
@@ -47,19 +47,10 @@ class DominationResult:
     witness: frozenset[int]
 
 
-def _check_k(k: int) -> None:
-    # One domain for every route: 2.0, 1.5 and True are not orders.
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be an int >= 1, got {k!r}")
-
-
 def is_k_dominating(g: Graph, s: Iterable[int], k: int) -> bool:
     """True iff every vertex outside ``s`` has >= k neighbours in ``s``."""
-    _check_k(k)
-    ss = set(s)
-    for v in ss:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+    check_order(k)
+    ss = checked_vertices(g, s)
     return all(
         sum(1 for u in g.neighbors(v) if u in ss) >= k
         for v in range(g.n)
@@ -72,7 +63,7 @@ def is_k_dominating(g: Graph, s: Iterable[int], k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _greedy_cover_mask(adj: list[int], k: int) -> int:
+def _greedy_cover_mask(adj: Sequence[int], k: int) -> int:
     """Greedy k-dominating set of a component, as a bitmask (upper bound).
 
     Each step takes the vertex that meets the most outstanding need (its
@@ -128,7 +119,7 @@ def _bit_list(mask: int) -> list[int]:
     return bits
 
 
-def _solve_component(adj: list[int], k: int) -> tuple[int, int]:
+def _solve_component(adj: Sequence[int], k: int) -> tuple[int, int]:
     """Minimum k-dominating set of one component given bitmask adjacency.
 
     Returns (size, chosen_mask).  The search is deterministic: branch
@@ -242,7 +233,7 @@ def _solve_component(adj: list[int], k: int) -> tuple[int, int]:
     return best, best_mask
 
 
-def gamma_k_masks(adj: list[int], within: int, k: int) -> tuple[int, int]:
+def gamma_k_masks(adj: Sequence[int], within: int, k: int) -> tuple[int, int]:
     """gamma_k of the subgraph induced on the vertex mask ``within``.
 
     ``adj`` is the bitmask adjacency of the host graph, and the returned
@@ -292,7 +283,7 @@ def gamma_k(g: Graph, k: int) -> DominationResult:
     Solved independently per connected component, found on the adjacency
     masks (``gamma_k_masks``); the empty graph has gamma_k = 0.
     """
-    _check_k(k)
+    check_order(k)
     number, witness = gamma_k_masks(g.adjacency_masks(), (1 << g.n) - 1, k)
     return DominationResult(k, number, frozenset(_bit_list(witness)))
 
@@ -302,7 +293,7 @@ def gamma_k(g: Graph, k: int) -> DominationResult:
 # ---------------------------------------------------------------------------
 
 
-def _bit_is_k_dominating(masks: list[int], subset: int, n: int, k: int) -> bool:
+def _bit_is_k_dominating(masks: Sequence[int], subset: int, n: int, k: int) -> bool:
     for v in range(n):
         if subset >> v & 1:
             continue
@@ -325,7 +316,7 @@ def _k_dominating_by_size(
     """For each size 0..n in turn, a lazy stream of the k-dominating
     subsets of that size in lexicographic order.  ``what`` names the
     caller in the size-guard error."""
-    _check_k(k)
+    check_order(k)
     _check_oracle_size(g, what)
     masks = g.adjacency_masks()
     bits = [1 << v for v in range(g.n)]

@@ -121,36 +121,28 @@ class VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def random_connected_min_degree2(
-    rng: random.Random, n_low: int, n_high: int
-) -> Graph:
+def random_connected_min_degree2(rng: random.Random) -> Graph:
+    """Random connected graph on 4..10 vertices of minimum degree >= 2."""
     while True:
-        n = rng.randint(n_low, n_high)
+        n = rng.randint(4, 10)
         g = random_graph(rng, n, rng.choice([0.3, 0.4, 0.5]))
-        if g.n >= 3 and is_connected(g) and g.min_degree() >= 2:
+        if is_connected(g) and g.min_degree() >= 2:
             return g
 
 
-def random_g1_spec(rng: random.Random, d_max: int = 6) -> ConstructionSpec:
-    """Random construction whose supplementary vertices all see exactly
-    two D-vertices (their neighbourhood is then an underlying edge)."""
-    f = random_graph(rng, rng.randint(1, d_max), rng.choice([0.3, 0.5, 0.7]))
-    f_edges = f.edge_list()
-    y_specs = []
-    if f_edges:
-        for _ in range(rng.randint(0, 3)):
-            y_specs.append(frozenset(rng.choice(f_edges)))
-    supp = _random_supp_edges(rng, f, len(y_specs), 0.15)
-    return ConstructionSpec(f, tuple(y_specs), supp)
-
-
-def random_general_spec(rng: random.Random, d_max: int = 6) -> ConstructionSpec:
-    """Random construction allowing bigger supplementary neighbourhoods
-    (any clique of the underlying graph with >= 2 vertices)."""
-    f = random_graph(rng, rng.randint(1, d_max), rng.choice([0.4, 0.6, 0.8]))
+def random_spec(
+    rng: random.Random,
+    densities: Sequence[float],
+    clique_sizes: Sequence[int],
+    supp_p: float,
+) -> ConstructionSpec:
+    """Random construction on F = G(1..6, p in ``densities``): up to three
+    supplementary vertices each see a random clique of F of a size in
+    ``clique_sizes``; supplementary edges have probability ``supp_p``."""
+    f = random_graph(rng, rng.randint(1, 6), rng.choice(densities))
     cliques = [
-        set(c)
-        for size in (2, 3)
+        c
+        for size in clique_sizes
         for c in combinations(range(f.n), size)
         if all(f.has_edge(u, v) for u, v in combinations(c, 2))
     ]
@@ -158,7 +150,7 @@ def random_general_spec(rng: random.Random, d_max: int = 6) -> ConstructionSpec:
     if cliques:
         for _ in range(rng.randint(0, 3)):
             y_specs.append(frozenset(rng.choice(cliques)))
-    supp = _random_supp_edges(rng, f, len(y_specs), 0.1)
+    supp = _random_supp_edges(rng, f, len(y_specs), supp_p)
     return ConstructionSpec(f, tuple(y_specs), supp)
 
 
@@ -355,7 +347,7 @@ def _check_specified_set_2domination(rng: random.Random, budget: int) -> Iterato
     # Built instances whose supplementary vertices see exactly two
     # D-vertices have gamma_2 == |V(F)|, witnessed by D itself.
     for _ in range(budget):
-        spec = random_g1_spec(rng)
+        spec = random_spec(rng, (0.3, 0.5, 0.7), (2,), 0.15)
         inst = build(spec)
         ok = (
             is_k_dominating(inst.g, inst.d, 2)
@@ -380,7 +372,7 @@ def _check_underlying_roundtrip(rng: random.Random, budget: int) -> Iterator[tup
     # The square of the built graph induced on D recovers the underlying
     # graph exactly (canonical numbering makes this graph equality).
     for _ in range(budget):
-        spec = random_general_spec(rng)
+        spec = random_spec(rng, (0.4, 0.6, 0.8), (2, 3), 0.1)
         inst = build(spec)
         yield (
             extract_underlying(inst.g, inst.d) == spec.f,
@@ -460,7 +452,7 @@ def perfect_fixtures() -> list[Graph]:
 
 def _check_perfect_triple_agreement(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
     def sample(_: int) -> Graph:
-        return random_connected_min_degree2(rng, 4, 10)
+        return random_connected_min_degree2(rng)
 
     for g in _fixtures_then_samples(perfect_fixtures(), sample, budget):
         yield _triple_agreement_case(g)

@@ -13,6 +13,7 @@ from gamma2 import (
     induced_subgraph,
     is_connected,
     is_independent,
+    is_k_dominating,
     power,
 )
 from gamma2.constructions import complete, cycle, path, petersen
@@ -121,8 +122,10 @@ def test_power_is_monotone_in_k(ne, k):
 
 
 def test_power_requires_positive_k():
-    with pytest.raises(ValueError):
-        power(cycle(3), 0)
+    # 1.5 used to give K6 on P6 and True the first power.
+    for k in (0, -1, 1.5, 2.0, True):
+        with pytest.raises(ValueError, match="k must be an int >= 1"):
+            power(path(6), k)
 
 
 def test_components_partition():
@@ -146,6 +149,21 @@ def test_is_independent():
     assert is_independent(g, frozenset({0, 2}))
     assert not is_independent(g, frozenset({0, 1}))
     assert is_independent(g, frozenset())
+
+
+@pytest.mark.parametrize(
+    "bad, member", [([True, 3], "True"), ([1, 2.0], "2.0"), ([3, 6], "6")]
+)
+def test_vertex_sets_hold_only_ints_in_range(bad, member):
+    # True used to be read as vertex 1 and 2.0 to escape as a TypeError.
+    message = f"vertex {member} outside 0..5"
+    g = path(6)
+    with pytest.raises(ValueError, match=message):
+        is_independent(g, bad)
+    with pytest.raises(ValueError, match=message):
+        induced_subgraph(g, bad)
+    with pytest.raises(ValueError, match=message):
+        is_k_dominating(g, bad, 1)
 
 
 def test_adjacency_masks():

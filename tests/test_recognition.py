@@ -46,7 +46,7 @@ from gamma2.recognition import (
     FORBIDDEN_CHECK_VERTEX_LIMIT,
     PERFECT_ORACLE_VERTEX_LIMIT,
 )
-from gamma2.verify import t6_augmented_fixtures
+from gamma2.verify import perfect_fixtures, t6_augmented_fixtures
 
 
 def shift(g, offset, n):
@@ -128,6 +128,7 @@ def test_validate_rejects_adjacent_pair():
         (None, {(0, 1): (3, 9), (1, 2): (5, 6)}, "names 9, which is not a non-D"),
         (None, {(0, 1): (0, 4), (1, 2): (5, 6)}, "names 0, which is not a non-D"),
         (None, {(0, 1): (3, 4), (1, 2): (4, 6)}, "vertex 4 belongs to two pairs"),
+        ({0, True, 2}, None, "D-vertex True outside 0..6"),
     ],
 )
 def test_validate_names_each_pair_rule(d, pair_map, rule):
@@ -448,6 +449,94 @@ def test_perfect_oracle_matches_the_induced_subgraph_definition():
     assert verdicts.count(False) >= 100
     assert sum(len(components(g)) > 1 for g in graphs) >= 200
     assert sum(g.n > 0 and g.min_degree() < 2 for g in graphs) >= 200
+
+
+def _reference_recognize_perfect(g):
+    """The rule ``recognize_perfect`` must reproduce: an induced ``Graph``
+    per component, accepted when any vertex of maximum degree is a
+    centre."""
+    for comp in components(g):
+        sub, mapping = induced_subgraph(g, comp)
+        top = sub.max_degree()
+        candidates = [v for v in range(sub.n) if sub.degree(v) == top]
+        if not any(_reference_is_center(sub, v) for v in candidates):
+            return (False, tuple(mapping))
+    return (True, None)
+
+
+def _reference_is_center(g, center):
+    spokes = set(g.neighbors(center))
+    leaf_of = {}
+    for x in spokes:
+        if g.degree(x) != 2:
+            return False
+        leaf = [u for u in g.neighbors(x) if u != center][0]
+        if leaf in spokes:
+            return False
+        leaf_of[x] = leaf
+    leaves = set(leaf_of.values())
+    if g.n != 1 + len(spokes) + len(leaves):
+        return False
+    for leaf in leaves:
+        group = [x for x in spokes if leaf_of[x] == leaf]
+        if len(group) < 2 or set(g.neighbors(leaf)) != set(group):
+            return False
+    return True
+
+
+def _relabelled_union(rng, parts):
+    n = sum(part.n for part in parts)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(perm[u + offset], perm[v + offset]) for u, v in part.edges()]
+        offset += part.n
+    return from_edges(n, edges)
+
+
+def test_recognize_perfect_matches_the_any_candidate_rule():
+    rng = random.Random(12)
+
+    def random_star():
+        # one leaf gives K_{2,m}, with C4 at m = 2
+        return gadget_s([rng.randint(2, 4) for _ in range(rng.randint(1, 4))]).g
+
+    def near_star():
+        # one extra edge: still minimum degree >= 2, no longer a star
+        g = random_star()
+        non_edges = [e for e in combinations(range(g.n), 2) if not g.has_edge(*e)]
+        u, v = rng.choice(non_edges)
+        return from_edges(g.n, g.edge_list() + [(u, v)])
+
+    def random_part():
+        while True:
+            g = random_graph(rng, rng.randint(3, 10), rng.choice([0.3, 0.45, 0.6]))
+            if g.min_degree() >= 2:
+                return g
+
+    graphs = list(perfect_fixtures())
+    graphs += [_relabelled_union(rng, [random_star()]) for _ in range(400)]
+    while len(graphs) < 2600:
+        parts = [
+            rng.choice([random_star, random_star, near_star, random_part])()
+            for _ in range(rng.choice([1, 1, 2, 3]))
+        ]
+        graphs.append(_relabelled_union(rng, parts))
+    verdicts = []
+    for g in graphs:
+        v = recognize_perfect(g)
+        verdicts.append(v.perfect)
+        assert (v.perfect, v.failing_component) == _reference_recognize_perfect(g)
+    assert verdicts.count(True) >= 600 and verdicts.count(False) >= 1000
+    assert sum(len(components(g)) > 1 for g in graphs) >= 1000
+    # perfect graphs with several candidates: a K_{2,m} part or a union
+    ties = [
+        sum(g.degree(v) == g.max_degree() for v in range(g.n)) > 1
+        for g, perfect in zip(graphs, verdicts)
+        if perfect
+    ]
+    assert sum(ties) >= 200
 
 
 def test_size_guards():

@@ -1,7 +1,9 @@
 """The verify driver itself: determinism, scope, budget, reporting."""
 
 import dataclasses
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -53,6 +55,29 @@ def test_different_seeds_change_streams(monkeypatch):
     # the same three fixtures first, then different random graphs
     assert streams[0][:3] == streams[1][:3]
     assert streams[0][3:] != streams[1][3:]
+
+
+# What three checks draw for seeds 0-3, keyed as run_verify keys them.  A
+# change to a sampler that alters an instance must update the digest and
+# say so.
+SAMPLED_DIGESTS = {
+    "perfect-triple-agreement":
+        "b67f8f992bed6bd3d9e02a9d01823879ee572d5cf5c857764b6a5daccbd2ac04",
+    "specified-set-2domination":
+        "e512f76d2d327d7a5cd58c23f3019efe3dacaad0e8fe25315d4514f71e2deea4",
+    "underlying-roundtrip":
+        "a8b1fb74f2aeef3a767596ba4d0b6431e9a3c4a5e1d08c0b71644babf929ad64",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_DIGESTS))
+def test_sampled_instances_are_pinned(name):
+    body, budget = _CHECKS[name]
+    h = hashlib.sha256()
+    for seed in range(4):
+        for _, serialized in body(random.Random(f"{seed}:{name}"), budget):
+            h.update(serialized.encode() + b";")
+    assert h.hexdigest() == SAMPLED_DIGESTS[name]
 
 
 def test_scope_prefix_filter():

@@ -2,7 +2,6 @@
 
 from .graph import (
     Graph,
-    VertexSet,
     components,
     from_edges,
     induced_subgraph,

@@ -8,7 +8,7 @@ One binary, subcommand style::
     gamma2 match graph.txt             # maximum matching
     gamma2 recognize h inst.json       # matching-based equality decision
     gamma2 recognize perfect graph.txt # hereditary-equality recognizer
-    gamma2 oracle gamma-eq graph.txt   # exact gamma vs gamma_2 (n <= 22)
+    gamma2 oracle gamma-eq graph.txt   # exact gamma vs gamma_2, small graphs
     gamma2 reduce formula.cnf          # 3-SAT to domination-gap instance
     gamma2 verify --seed 0             # run every cross-validation suite
 
@@ -38,11 +38,12 @@ from .constructions import (
 from .graph import Graph
 from .matching import maximum_matching
 from .recognition import (
+    PERFECT_ORACLE_VERTEX_LIMIT,
     perfect_oracle,
     recognize_h,
     recognize_perfect,
 )
-from .solvers import gamma_and_gamma2, gamma_k
+from .solvers import BRUTE_FORCE_VERTEX_LIMIT, gamma_and_gamma2, gamma_k
 from .verify import run_verify
 
 
@@ -241,8 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser(
         "oracle",
-        help="definitional hereditary oracle (perfect, n <= 13) or exact "
-        "gamma vs gamma_2 (gamma-eq, n <= 22)",
+        help="definitional hereditary oracle (perfect, "
+        f"n <= {PERFECT_ORACLE_VERTEX_LIMIT}) or exact gamma vs gamma_2 "
+        f"(gamma-eq, n <= {BRUTE_FORCE_VERTEX_LIMIT})",
     )
     oracle.add_argument("what", choices=("perfect", "gamma-eq"))
     oracle.add_argument("target", help="graph file, or - for stdin")

@@ -10,10 +10,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, Optional
 
-#: A set of vertices of some host graph (plain frozenset of ints).
-VertexSet = frozenset[int]
-
-
 class Graph:
     """Immutable simple graph.
 
@@ -98,6 +94,13 @@ def check_order(k: int) -> None:
     exponent): an int >= 1.  2.0, 1.5 and True are not orders."""
     if type(k) is not int or k < 1:
         raise ValueError(f"k must be an int >= 1, got {k!r}")
+
+
+def check_size(what: str, count: int, limit: int, unit: str = "vertices") -> None:
+    """The one size rule of the exhaustive routes: ``what`` takes at most
+    ``limit`` of ``unit`` and was given ``count``."""
+    if count > limit:
+        raise ValueError(f"{what} accepts at most {limit} {unit}, got {count}")
 
 
 def checked_vertices(g: Graph, s: Iterable[int]) -> set[int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, check_size
 
 BRUTE_FORCE_EDGE_LIMIT = 25
 
@@ -168,13 +168,9 @@ def brute_force_maximum_matching(g: Graph) -> Matching:
 
     Branches on the lowest free vertex that still has a free neighbour:
     either it stays exposed or it is matched to one of them.  Only graphs
-    with at most 25 edges are accepted.
+    with at most ``BRUTE_FORCE_EDGE_LIMIT`` edges are accepted.
     """
-    if g.m > BRUTE_FORCE_EDGE_LIMIT:
-        raise ValueError(
-            f"brute-force matching accepts at most {BRUTE_FORCE_EDGE_LIMIT} "
-            f"edges, got {g.m}"
-        )
+    check_size("brute-force matching", g.m, BRUTE_FORCE_EDGE_LIMIT, "edges")
     n = g.n
     masks = g.adjacency_masks()
     best_edges: list[tuple[int, int]] = []

@@ -26,6 +26,7 @@ from typing import Optional, Union
 from .constructions import PartitionedInstance
 from .graph import (
     Graph,
+    check_size,
     checked_vertices,
     components,
     from_edges,
@@ -412,7 +413,8 @@ def recognize_perfect(g: Graph) -> PerfectVerdict:
     maximum degree: every other vertex must be a degree-2 subdivision
     vertex of it or a leaf seeing >= 2 of them.  With two or more leaves
     the centre is the only vertex of maximum degree; with one the star is
-    the symmetric K_{2,m}.  Requires minimum degree >= 2.
+    the symmetric K_{2,m}.  Requires minimum degree >= 2.  Linear in the
+    graph's size, up to sorting each component's vertex list.
     """
     for v in range(g.n):
         if g.degree(v) < 2:
@@ -446,13 +448,12 @@ def _is_center(g: Graph, center: int, order: int) -> bool:
     leaves = set(leaf_of.values())
     if order != 1 + len(spokes) + len(leaves):
         return False
-    for leaf in leaves:
-        group = [x for x in spokes if leaf_of[x] == leaf]
-        if len(group) < 2:
-            return False
-        if set(g.neighbors(leaf)) != set(group):
-            return False
-    return True
+    # Every spoke already sees its leaf, so a leaf passes iff each of its
+    # neighbours (>= 2 of them by the minimum degree) is a spoke leading
+    # to it: linear in the component.
+    return all(
+        leaf_of.get(x) == leaf for leaf in leaves for x in g.neighbors(leaf)
+    )
 
 
 def forbidden_subgraph_check(g: Graph) -> bool:
@@ -463,14 +464,10 @@ def forbidden_subgraph_check(g: Graph) -> bool:
     length other than four, all as not-necessarily-induced subgraphs.
     Every forbidden pattern is connected, so the whole graph contains one
     iff some component does: a disjoint union passes iff each component
-    does, and the empty graph passes vacuously.  Guarded to at most 14
-    vertices.
+    does, and the empty graph passes vacuously.  Guarded to at most
+    ``FORBIDDEN_CHECK_VERTEX_LIMIT`` vertices.
     """
-    if g.n > FORBIDDEN_CHECK_VERTEX_LIMIT:
-        raise ValueError(
-            f"forbidden_subgraph_check accepts at most "
-            f"{FORBIDDEN_CHECK_VERTEX_LIMIT} vertices, got {g.n}"
-        )
+    check_size("forbidden_subgraph_check", g.n, FORBIDDEN_CHECK_VERTEX_LIMIT)
     if g.n == 0:
         return True
     if g.min_degree() < 2:
@@ -521,16 +518,13 @@ def _has_long_path_or_cycle(g: Graph) -> bool:
 
 def perfect_oracle(g: Graph) -> bool:
     """Definitional oracle: every induced subgraph of minimum degree >= 2
-    has equal domination and 2-domination numbers.  At most 13 vertices.
+    has equal domination and 2-domination numbers.  At most
+    ``PERFECT_ORACLE_VERTEX_LIMIT`` vertices.
 
     Each subset of minimum degree >= 2 is solved on the host's adjacency
     masks, with no induced ``Graph`` per subset.
     """
-    if g.n > PERFECT_ORACLE_VERTEX_LIMIT:
-        raise ValueError(
-            f"perfect_oracle accepts at most {PERFECT_ORACLE_VERTEX_LIMIT} "
-            f"vertices, got {g.n}"
-        )
+    check_size("perfect_oracle", g.n, PERFECT_ORACLE_VERTEX_LIMIT)
     masks = g.adjacency_masks()
     for subset in range(1, 1 << g.n):
         if subset.bit_count() < 3:

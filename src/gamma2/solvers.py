@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graph import Graph, check_order, checked_vertices
+from .graph import Graph, check_order, check_size, checked_vertices
 
 BRUTE_FORCE_VERTEX_LIMIT = 22
 SAT_VARIABLE_LIMIT = 20
@@ -302,14 +302,6 @@ def _bit_is_k_dominating(masks: Sequence[int], subset: int, n: int, k: int) -> b
     return True
 
 
-def _check_oracle_size(g: Graph, what: str) -> None:
-    if g.n > BRUTE_FORCE_VERTEX_LIMIT:
-        raise ValueError(
-            f"{what} accepts at most {BRUTE_FORCE_VERTEX_LIMIT} vertices, "
-            f"got {g.n}"
-        )
-
-
 def _k_dominating_by_size(
     g: Graph, k: int, what: str
 ) -> Iterator[Iterator[frozenset[int]]]:
@@ -317,7 +309,7 @@ def _k_dominating_by_size(
     subsets of that size in lexicographic order.  ``what`` names the
     caller in the size-guard error."""
     check_order(k)
-    _check_oracle_size(g, what)
+    check_size(what, g.n, BRUTE_FORCE_VERTEX_LIMIT)
     masks = g.adjacency_masks()
     bits = [1 << v for v in range(g.n)]
     for size in range(g.n + 1):
@@ -352,7 +344,7 @@ def enumerate_min_k_dominating(g: Graph, k: int) -> list[frozenset[int]]:
 
 def gamma_and_gamma2(g: Graph) -> tuple[int, int]:
     """(gamma(g), gamma_2(g)), size-guarded before either is solved."""
-    _check_oracle_size(g, "is_gamma_gamma2_graph")
+    check_size("is_gamma_gamma2_graph", g.n, BRUTE_FORCE_VERTEX_LIMIT)
     return gamma_k(g, 1).number, gamma_k(g, 2).number
 
 
@@ -373,17 +365,25 @@ class CnfFormula:
 
     Literals are non-zero ints: +i / -i for variable i (1-based).  Every
     clause must have exactly three literals over three distinct variables.
+    ``num_vars`` and each literal must be an int (never a bool or float).
     """
 
     num_vars: int
     clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.num_vars < 0:
-            raise ValueError("variable count must be non-negative")
+        if type(self.num_vars) is not int or self.num_vars < 0:
+            raise ValueError(
+                f"variable count must be a non-negative int, got {self.num_vars!r}"
+            )
         for idx, clause in enumerate(self.clauses):
             if len(clause) != 3:
                 raise ValueError(f"clause #{idx} has {len(clause)} literals")
+            for lit in clause:
+                if type(lit) is not int:
+                    raise ValueError(
+                        f"clause #{idx} has literal {lit!r}, not an int"
+                    )
             variables = {abs(lit) for lit in clause}
             if 0 in variables:
                 raise ValueError(f"clause #{idx} contains literal 0")
@@ -402,14 +402,10 @@ class CnfFormula:
 def cnf_satisfiable(f: CnfFormula) -> Optional[tuple[bool, ...]]:
     """Exhaustive SAT check; returns a satisfying assignment or None.
 
-    The assignment is indexed by variable - 1.  Guarded to at most 20
-    variables.
+    The assignment is indexed by variable - 1.  Guarded to at most
+    ``SAT_VARIABLE_LIMIT`` variables.
     """
-    if f.num_vars > SAT_VARIABLE_LIMIT:
-        raise ValueError(
-            f"cnf_satisfiable accepts at most {SAT_VARIABLE_LIMIT} "
-            f"variables, got {f.num_vars}"
-        )
+    check_size("cnf_satisfiable", f.num_vars, SAT_VARIABLE_LIMIT, "variables")
     pos = []
     neg = []
     for clause in f.clauses:

@@ -37,7 +37,11 @@ from .constructions import (
     star,
 )
 from .graph import Graph, from_edges, is_connected, is_independent
-from .matching import brute_force_maximum_matching, maximum_matching
+from .matching import (
+    BRUTE_FORCE_EDGE_LIMIT,
+    brute_force_maximum_matching,
+    maximum_matching,
+)
 from .recognition import (
     check_witness,
     extract_underlying,
@@ -47,13 +51,13 @@ from .recognition import (
     recognize_perfect,
 )
 from .solvers import (
+    BRUTE_FORCE_VERTEX_LIMIT,
     CnfFormula,
     cnf_satisfiable,
     enumerate_min_k_dominating,
     gamma_k,
     is_gamma_gamma2_graph,
     is_k_dominating,
-    triple_cover_holds,
 )
 
 T = TypeVar("T")
@@ -121,12 +125,18 @@ class VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def random_connected_min_degree2(rng: random.Random) -> Graph:
-    """Random connected graph on 4..10 vertices of minimum degree >= 2."""
+def _draw(
+    rng: random.Random,
+    sizes: tuple[int, int],
+    densities: Sequence[float],
+    accept: Callable[[Graph], bool],
+) -> Graph:
+    """G(n, p) with n drawn from the closed range ``sizes``, then p from
+    ``densities``, drawn again until ``accept`` holds: the one rejection
+    loop that keeps a sample inside its oracle's domain."""
     while True:
-        n = rng.randint(4, 10)
-        g = random_graph(rng, n, rng.choice([0.3, 0.4, 0.5]))
-        if is_connected(g) and g.min_degree() >= 2:
+        g = random_graph(rng, rng.randint(*sizes), rng.choice(densities))
+        if accept(g):
             return g
 
 
@@ -221,17 +231,15 @@ def t6_augmented_fixtures() -> list[Graph]:
     ]
 
 
-def h_instance_stream(
-    seed: int, max_vertices: int = 22
-) -> Iterator[PartitionedInstance]:
+def h_instance_stream(seed: int) -> Iterator[PartitionedInstance]:
     """Endless stream of valid random subdivision instances (underlying
-    graph of girth >= 5)."""
+    graph of girth >= 5) small enough for ``is_gamma_gamma2_graph``."""
     sub_seed = seed
     while True:
         sub_seed += 1
         f_size = 3 + sub_seed % 4
         inst = random_h_instance(f_size, 0.35, 0.25, seed=sub_seed * 7919 + seed)
-        if inst is not None and inst.g.n <= max_vertices:
+        if inst is not None and inst.g.n <= BRUTE_FORCE_VERTEX_LIMIT:
             yield inst
 
 
@@ -251,11 +259,9 @@ def _fixtures_then_samples(
 
 def _check_matching_oracle(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
     def sample(_: int) -> Graph:
-        # the exhaustive oracle takes at most 25 edges: draw again
-        while True:
-            g = random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.35, 0.5]))
-            if g.m <= 25:
-                return g
+        # inside the exhaustive oracle's edge cap
+        return _draw(rng, (1, 12), (0.2, 0.35, 0.5),
+                     lambda g: g.m <= BRUTE_FORCE_EDGE_LIMIT)
 
     fixtures = [cycle(4), cycle(5), petersen()]
     for g in _fixtures_then_samples(fixtures, sample, budget):
@@ -274,10 +280,7 @@ def _check_gamma_lower_bound(rng: random.Random, budget: int) -> Iterator[tuple[
     # For max degree >= k >= 2: gamma_k >= gamma + k - 2.  Graphs of
     # maximum degree below 2 test nothing, so they are drawn again.
     for _ in range(budget):
-        while True:
-            g = random_graph(rng, rng.randint(2, 12), rng.choice([0.2, 0.4, 0.6]))
-            if g.max_degree() >= 2:
-                break
+        g = _draw(rng, (2, 12), (0.2, 0.4, 0.6), lambda g: g.max_degree() >= 2)
         base = gamma_k(g, 1).number
         ok = True
         for k in (2, 3):
@@ -288,15 +291,9 @@ def _check_gamma_lower_bound(rng: random.Random, budget: int) -> Iterator[tuple[
 
 
 def _equality_graphs(rng: random.Random, budget: int) -> Iterator[Graph]:
-    found = 0
-    while found < budget:
-        g = random_graph(rng, rng.randint(2, 10), rng.choice([0.3, 0.5, 0.7]))
-        if g.n < 2 or not is_connected(g):
-            continue
-        if not is_gamma_gamma2_graph(g):
-            continue
-        found += 1
-        yield g
+    for _ in range(budget):
+        yield _draw(rng, (2, 10), (0.3, 0.5, 0.7),
+                    lambda g: is_connected(g) and is_gamma_gamma2_graph(g))
 
 
 def _check_min_degree_necessity(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
@@ -406,23 +403,18 @@ def _check_sat_reduction(rng: random.Random, budget: int) -> Iterator[tuple[bool
 
     fixtures = [(UNSAT_COVERED_6, True), (UNSAT_COVERED_7, True)]
     for f, require_equivalence in _fixtures_then_samples(fixtures, sample, budget):
-        yield _sat_reduction_case(f, require_equivalence)
-
-
-def _sat_reduction_case(f: CnfFormula, require_equivalence: bool) -> tuple[bool, str]:
-    red = reduce_3sat(f)
-    g = red.instance.g
-    k = f.num_vars
-    ok = g.n == 3 * k + len(f.clauses) + 3
-    ok = ok and gamma_k(g, 2).number == k + 2
-    sat = cnf_satisfiable(f) is not None
-    gamma = gamma_k(g, 1).number
-    if sat:
-        ok = ok and gamma <= k + 1
-    if require_equivalence:
-        ok = ok and triple_cover_holds(f) == red.triple_cover and red.triple_cover
-        ok = ok and (sat == (gamma < k + 2))
-    return ok, formats.cnf_to_text(f)
+        red = reduce_3sat(f)
+        g = red.instance.g
+        k = f.num_vars
+        ok = g.n == 3 * k + len(f.clauses) + 3
+        ok = ok and gamma_k(g, 2).number == k + 2
+        sat = cnf_satisfiable(f) is not None
+        gamma = gamma_k(g, 1).number
+        if sat:
+            ok = ok and gamma <= k + 1
+        if require_equivalence:
+            ok = ok and red.triple_cover and (sat == (gamma < k + 2))
+        yield ok, formats.cnf_to_text(f)
 
 
 def perfect_fixtures() -> list[Graph]:
@@ -452,10 +444,14 @@ def perfect_fixtures() -> list[Graph]:
 
 def _check_perfect_triple_agreement(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
     def sample(_: int) -> Graph:
-        return random_connected_min_degree2(rng)
+        return _draw(rng, (4, 10), (0.3, 0.4, 0.5),
+                     lambda g: is_connected(g) and g.min_degree() >= 2)
 
     for g in _fixtures_then_samples(perfect_fixtures(), sample, budget):
-        yield _triple_agreement_case(g)
+        structural = recognize_perfect(g).perfect
+        forbidden = forbidden_subgraph_check(g)
+        oracle = perfect_oracle(g)
+        yield structural == forbidden == oracle, formats.graph_to_text(g)
 
 
 def _multiplicity_lists(total: int, k: int) -> Iterator[list[int]]:
@@ -468,13 +464,6 @@ def _multiplicity_lists(total: int, k: int) -> Iterator[list[int]]:
         for rest in _multiplicity_lists(total - first, k - 1):
             if not rest or first >= rest[0]:
                 yield [first] + rest
-
-
-def _triple_agreement_case(g: Graph) -> tuple[bool, str]:
-    structural = recognize_perfect(g).perfect
-    forbidden = forbidden_subgraph_check(g)
-    oracle = perfect_oracle(g)
-    return structural == forbidden == oracle, formats.graph_to_text(g)
 
 
 # ---------------------------------------------------------------------------
@@ -505,12 +494,13 @@ def run_verify(
     """Run the cross-validation suites.
 
     ``scope`` filters checks by name prefix.  ``budget`` overrides the
-    per-check instance count; 0 produces an empty report.  A negative
-    budget or a scope that matches no check raises ``ValueError``, so a
-    mistyped request cannot pass by running nothing.
+    per-check instance count; 0 produces an empty report.  A budget that
+    is not an int >= 0 (True and 1.5 are not budgets) or a scope that
+    matches no check raises ``ValueError``, so a mistyped request cannot
+    pass by running nothing.
     """
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    if budget is not None and (type(budget) is not int or budget < 0):
+        raise ValueError(f"budget must be an int >= 0, got {budget!r}")
     names = [name for name in sorted(_CHECKS) if not scope or name.startswith(scope)]
     if not names:
         raise ValueError(

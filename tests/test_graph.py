@@ -8,15 +8,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gamma2 import (
+    CnfFormula,
+    brute_force_maximum_matching,
+    cnf_satisfiable,
     components,
+    enumerate_min_k_dominating,
+    forbidden_subgraph_check,
     from_edges,
+    gamma_k_bruteforce,
     induced_subgraph,
     is_connected,
+    is_gamma_gamma2_graph,
     is_independent,
     is_k_dominating,
+    perfect_oracle,
     power,
 )
-from gamma2.constructions import complete, cycle, path, petersen
+from gamma2.constructions import complete, cycle, path, petersen, star
 from gamma2.graph import short_cycle
 from gamma2.verify import random_graph
 
@@ -205,3 +213,49 @@ def test_short_cycle_matches_networkx_girth():
         h.add_edges_from(g.edges())
         girth = nx.girth(h)
         assert short_cycle(g) == (girth if girth in (3, 4) else None)
+
+
+def _all_false_satisfies(num_vars: int) -> CnfFormula:
+    return CnfFormula(num_vars, ((-1, -2, -3),))
+
+
+# (route, input at its limit, input one over, the full refusal)
+SIZE_GUARDS = {
+    "gamma_k_bruteforce": (
+        lambda g: gamma_k_bruteforce(g, 1), complete(22), cycle(23),
+        "gamma_k_bruteforce accepts at most 22 vertices, got 23",
+    ),
+    "enumerate_min_k_dominating": (
+        lambda g: enumerate_min_k_dominating(g, 1), complete(22), cycle(23),
+        "enumerate_min_k_dominating accepts at most 22 vertices, got 23",
+    ),
+    "is_gamma_gamma2_graph": (
+        is_gamma_gamma2_graph, complete(22), cycle(23),
+        "is_gamma_gamma2_graph accepts at most 22 vertices, got 23",
+    ),
+    "cnf_satisfiable": (
+        cnf_satisfiable, _all_false_satisfies(20), _all_false_satisfies(21),
+        "cnf_satisfiable accepts at most 20 variables, got 21",
+    ),
+    "brute_force_maximum_matching": (
+        brute_force_maximum_matching, star(25), star(26),
+        "brute-force matching accepts at most 25 edges, got 26",
+    ),
+    "forbidden_subgraph_check": (
+        forbidden_subgraph_check, cycle(14), cycle(15),
+        "forbidden_subgraph_check accepts at most 14 vertices, got 15",
+    ),
+    "perfect_oracle": (
+        perfect_oracle, cycle(13), cycle(14),
+        "perfect_oracle accepts at most 13 vertices, got 14",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_GUARDS))
+def test_exhaustive_routes_share_one_size_rule(name):
+    route, at_limit, over, message = SIZE_GUARDS[name]
+    route(at_limit)  # the limit itself is accepted
+    with pytest.raises(ValueError) as info:
+        route(over)
+    assert str(info.value) == message

@@ -372,6 +372,16 @@ def test_recognize_perfect_rejects(g):
     assert verdict.reason
 
 
+def test_recognize_perfect_is_linear_in_the_leaves():
+    # 20,000 leaves (60,001 vertices): a rescan of every spoke per leaf
+    # would take minutes
+    g = gadget_s([2] * 20_000).g
+    assert g.n == 60_001
+    start = time.perf_counter()
+    assert recognize_perfect(g).perfect
+    assert time.perf_counter() - start < 2.0
+
+
 def test_recognize_perfect_requires_min_degree_two():
     with pytest.raises(ValueError, match="vertex 0"):
         recognize_perfect(path(4))

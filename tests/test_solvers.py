@@ -365,6 +365,21 @@ def test_cnf_variable_limit():
         cnf_satisfiable(f)
 
 
+@pytest.mark.parametrize(
+    "num_vars, clauses",
+    [
+        (True, ((1, -1, 1),)),
+        (3.0, ((1, 2, 3),)),
+        (-1, ()),
+        (3, ((True, 2, 3),)),
+        (3, ((1, 2.0, 3),)),
+    ],
+)
+def test_formula_holds_only_int_counts_and_literals(num_vars, clauses):
+    with pytest.raises(ValueError):
+        CnfFormula(num_vars, clauses)
+
+
 def test_triple_cover_needs_disjoint_clause():
     # with only 3 variables no clause can avoid the single variable triple
     assert not triple_cover_holds(CnfFormula(3, ((1, 2, 3),)))

@@ -57,10 +57,16 @@ def test_different_seeds_change_streams(monkeypatch):
     assert streams[0][3:] != streams[1][3:]
 
 
-# What three checks draw for seeds 0-3, keyed as run_verify keys them.  A
+# What six checks draw for seeds 0-3, keyed as run_verify keys them.  A
 # change to a sampler that alters an instance must update the digest and
 # say so.
 SAMPLED_DIGESTS = {
+    "gamma-k-lower-bound":
+        "1fa9feb93884cc020690081bfd42ee759b7146832f73526cfafb327bb951c514",
+    "matching-oracle":
+        "ff73c9dc9cbe8854e9b6b24d1fcc27e11bba51343d223450ad807b050cbe8825",
+    "min-degree-necessity":
+        "5b44a933ea927a782f94b67e5814da4c1183057569e78e301d9baee32cb4af04",
     "perfect-triple-agreement":
         "b67f8f992bed6bd3d9e02a9d01823879ee572d5cf5c857764b6a5daccbd2ac04",
     "specified-set-2domination":
@@ -97,6 +103,12 @@ def test_zero_budget_gives_empty_report():
 def test_negative_budget_is_rejected():
     with pytest.raises(ValueError, match="budget"):
         run_verify(seed=0, budget=-3)
+
+
+@pytest.mark.parametrize("budget", [True, 1.5, "3"])
+def test_non_int_budget_is_rejected(budget):
+    with pytest.raises(ValueError, match="budget"):
+        run_verify(seed=0, budget=budget)
 
 
 def test_scope_matching_no_check_is_rejected():

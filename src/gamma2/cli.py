@@ -151,11 +151,9 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
         print("PERFECT")
         return 0
     print("NOT-PERFECT")
-    if verdict.failing_component is not None:
-        comp = " ".join(str(v) for v in verdict.failing_component)
-        print(f"failing component: {comp}")
-    if verdict.reason:
-        print(f"reason: {verdict.reason}")
+    comp = " ".join(str(v) for v in verdict.failing_component)
+    print(f"failing component: {comp}")
+    print(f"reason: {verdict.reason}")
     return 1
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graph import Graph, from_edges, short_cycle
+from .graph import Graph, check_int, from_edges, short_cycle
 from .solvers import CnfFormula, triple_cover_holds
 
 RANDOM_INSTANCE_ATTEMPTS = 1000
@@ -32,25 +32,23 @@ RANDOM_INSTANCE_ATTEMPTS = 1000
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise ValueError(f"cycles need >= 3 vertices, got {n}")
+    check_int("cycle length", n, 3)
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"paths need >= 1 vertex, got {n}")
+    check_int("path length", n, 1)
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete(n: int) -> Graph:
+    check_int("vertex count", n, 0)
     return from_edges(n, list(combinations(range(n), 2)))
 
 
 def star(k: int) -> Graph:
     """Star with k leaves: centre 0, leaves 1..k (order k + 1)."""
-    if k < 0:
-        raise ValueError(f"leaf count must be >= 0, got {k}")
+    check_int("leaf count", k, 0)
     return from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
 
 
@@ -220,8 +218,7 @@ def gadget_a(k: int) -> PartitionedInstance:
 
     Its specified set (centre plus leaves) is the instance's ``d``.
     """
-    if k < 2:
-        raise ValueError(f"the ring gadget needs k >= 2, got {k}")
+    check_int("ring gadget k", k, 2)
     f = star(k)
     first = [f.n + 2 * t for t in range(k)]       # x_t^1 in canonical order
     second = [f.n + 2 * t + 1 for t in range(k)]  # x_t^2
@@ -267,11 +264,10 @@ def gadget_s(multiplicities: Sequence[int]) -> PartitionedInstance:
     ``multiplicities[j]`` parallel subdivision vertices (each >= 2).
     """
     mults = list(multiplicities)
-    if not mults:
-        raise ValueError("need at least one leaf")
-    if any(m < 2 for m in mults):
-        raise ValueError(f"every multiplicity must be >= 2, got {mults}")
     k = len(mults)
+    check_int("leaf count", k, 1)
+    for m in mults:
+        check_int("multiplicity", m, 2)
     f = star(k)
     y_specs = []
     for j, m in enumerate(mults):
@@ -396,6 +392,7 @@ def reduce_3sat(f: CnfFormula) -> SatReduction:
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     """G(n, p): each of the n(n-1)/2 pairs is an edge with probability p."""
+    check_int("vertex count", n, 0)
     return from_edges(
         n, [e for e in combinations(range(n), 2) if rng.random() < p]
     )

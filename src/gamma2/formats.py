@@ -141,11 +141,12 @@ def parse_instance(text: str) -> PartitionedInstance:
 
     try:
         edges = [tuple(e) for e in data["edges"]]
+        # from_edges rejects a bool too, but as a vertex outside 0..n-1
+        if any(type(u) is bool or type(v) is bool for u, v in edges):
+            raise ValueError("an endpoint is a boolean")
         g = from_edges(n, edges)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad edge list: {exc}") from exc
-    if any(type(u) is bool or type(v) is bool for u, v in edges):
-        raise ParseError("bad edge list: an endpoint is a boolean")
 
     if not lists_vertices(data["d"]):
         raise ParseError("'d' must list vertices in range")

@@ -89,11 +89,11 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def check_order(k: int) -> None:
-    """The one domain of an order (the k of k-domination, a power's
-    exponent): an int >= 1.  2.0, 1.5 and True are not orders."""
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be an int >= 1, got {k!r}")
+def check_int(what: str, value: int, minimum: int) -> None:
+    """The one rule of every count and order (a vertex count, the k of
+    k-domination): an int >= ``minimum``, so never 2.0, 1.5 or True."""
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{what} must be an int >= {minimum}, got {value!r}")
 
 
 def check_size(what: str, count: int, limit: int, unit: str = "vertices") -> None:
@@ -117,16 +117,15 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list.
 
     Duplicate edges (in either orientation) are collapsed.  Self-loops and
-    out-of-range endpoints are rejected; the error message reports the
-    position of the offending pair.
+    non-vertex endpoints (not an int in 0..n-1: True is not vertex 1) are
+    rejected; the error message reports the position of the offending pair.
     """
-    if n < 0:
-        raise ValueError(f"vertex count must be non-negative, got {n}")
+    check_int("vertex count", n, 0)
     adj: list[set[int]] = [set() for _ in range(n)]
     for idx, (u, v) in enumerate(edges):
-        if not (0 <= u < n and 0 <= v < n):
+        if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
             raise ValueError(
-                f"edge #{idx} ({u}, {v}) has an endpoint outside 0..{n - 1}"
+                f"edge #{idx} ({u!r}, {v!r}) has an endpoint outside 0..{n - 1}"
             )
         if u == v:
             raise ValueError(f"edge #{idx} ({u}, {v}) is a self-loop")
@@ -152,7 +151,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, list[int]]:
 
 def power(g: Graph, k: int) -> Graph:
     """k-th graph power: join vertices at distance 1..k (BFS per vertex)."""
-    check_order(k)
+    check_int("k", k, 1)
     adj: list[set[int]] = [set() for _ in range(g.n)]
     for source in range(g.n):
         dist = {source: 0}

@@ -96,7 +96,7 @@ def validate_h(inst: PartitionedInstance) -> HValidationReport:
     structure_ok = True
     for key, (x1, x2) in inst.pair_map.items():
         a, b = key
-        if a not in d or b not in d or a >= b:
+        if not (type(a) is type(b) is int and a in d and b in d and a < b):
             failures.append(
                 f"pair key {key} is not an ordered pair of D-vertices"
             )
@@ -108,7 +108,7 @@ def validate_h(inst: PartitionedInstance) -> HValidationReport:
             continue
         pair_ok = True
         for x in (x1, x2):
-            if not 0 <= x < g.n or x in d:
+            if type(x) is not int or not 0 <= x < g.n or x in d:
                 failures.append(
                     f"pair {key} names {x}, which is not a non-D vertex"
                 )
@@ -221,7 +221,7 @@ def check_witness(g: Graph, d: frozenset[int], witness: Witness) -> bool:
     vs = witness.vertices()
     if len(set(vs)) != len(vs):
         return False
-    if not all(0 <= v < g.n for v in vs):
+    if not all(type(v) is int and 0 <= v < g.n for v in vs):
         return False
     if isinstance(witness, BWitness):
         specified = (witness.v1, witness.u1, witness.v2, witness.u2)
@@ -400,6 +400,8 @@ def _trace_ring(
 
 @dataclass(frozen=True)
 class PerfectVerdict:
+    """A False verdict always names a failing component and the reason."""
+
     perfect: bool
     failing_component: Optional[tuple[int, ...]] = None
     reason: Optional[str] = None
@@ -416,12 +418,7 @@ def recognize_perfect(g: Graph) -> PerfectVerdict:
     the symmetric K_{2,m}.  Requires minimum degree >= 2.  Linear in the
     graph's size, up to sorting each component's vertex list.
     """
-    for v in range(g.n):
-        if g.degree(v) < 2:
-            raise ValueError(
-                f"recognize_perfect needs minimum degree >= 2; "
-                f"vertex {v} has degree {g.degree(v)}"
-            )
+    _check_min_degree_two("recognize_perfect", g)
     for comp in components(g):
         if not _is_center(g, max(comp, key=g.degree), len(comp)):
             return PerfectVerdict(
@@ -430,6 +427,16 @@ def recognize_perfect(g: Graph) -> PerfectVerdict:
                 reason="component is not a doubled-subdivided star",
             )
     return PerfectVerdict(True)
+
+
+def _check_min_degree_two(what: str, g: Graph) -> None:
+    """The one domain of the two structural routes: minimum degree >= 2."""
+    for v in range(g.n):
+        if g.degree(v) < 2:
+            raise ValueError(
+                f"{what} needs minimum degree >= 2; "
+                f"vertex {v} has degree {g.degree(v)}"
+            )
 
 
 def _is_center(g: Graph, center: int, order: int) -> bool:
@@ -459,19 +466,16 @@ def _is_center(g: Graph, center: int, order: int) -> bool:
 def forbidden_subgraph_check(g: Graph) -> bool:
     """Second route to hereditary equality, via forbidden subgraphs.
 
-    True iff every component of ``g`` has minimum degree >= 2 and contains
-    no double-pendant edge (T6), no path on eight vertices and no cycle of
-    length other than four, all as not-necessarily-induced subgraphs.
-    Every forbidden pattern is connected, so the whole graph contains one
-    iff some component does: a disjoint union passes iff each component
-    does, and the empty graph passes vacuously.  Guarded to at most
-    ``FORBIDDEN_CHECK_VERTEX_LIMIT`` vertices.
+    True iff ``g`` contains no double-pendant edge (T6), no path on eight
+    vertices and no cycle of length other than four, all as not
+    necessarily induced subgraphs.  Every forbidden pattern is connected,
+    so the whole graph contains one iff some component does: a disjoint
+    union passes iff each component does, and the empty graph passes
+    vacuously.  Needs minimum degree >= 2, like ``recognize_perfect``,
+    and at most ``FORBIDDEN_CHECK_VERTEX_LIMIT`` vertices.
     """
     check_size("forbidden_subgraph_check", g.n, FORBIDDEN_CHECK_VERTEX_LIMIT)
-    if g.n == 0:
-        return True
-    if g.min_degree() < 2:
-        return False
+    _check_min_degree_two("forbidden_subgraph_check", g)
     if _has_double_pendant_edge(g):
         return False
     if short_cycle(g) == 3:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graph import Graph, check_order, check_size, checked_vertices
+from .graph import Graph, check_int, check_size, checked_vertices
 
 BRUTE_FORCE_VERTEX_LIMIT = 22
 SAT_VARIABLE_LIMIT = 20
@@ -49,7 +49,7 @@ class DominationResult:
 
 def is_k_dominating(g: Graph, s: Iterable[int], k: int) -> bool:
     """True iff every vertex outside ``s`` has >= k neighbours in ``s``."""
-    check_order(k)
+    check_int("k", k, 1)
     ss = checked_vertices(g, s)
     return all(
         sum(1 for u in g.neighbors(v) if u in ss) >= k
@@ -180,8 +180,11 @@ def _solve_component(adj: Sequence[int], k: int) -> tuple[int, int]:
             options = nbrs & undecided
             avail = options.bit_count()
             if excluded & bit:
+                # Invariant: avail >= need.  A pass that forces nothing leaves
+                # each excluded needy vertex avail >= need + 1, excluding the
+                # pivot takes at most 1 off avail, and choosing a neighbour lowers both.
                 if avail < need:
-                    break  # dead branch
+                    raise RuntimeError(f"excluded vertex {v} cannot be dominated")
                 if avail == need:
                     forced |= options
                 pool_need = need
@@ -195,41 +198,40 @@ def _solve_component(adj: Sequence[int], k: int) -> tuple[int, int]:
             if avail - need < slack:
                 slack, branch_options = avail - need, options
             pools.append((avail, v, pool_need, options))
-        else:  # no dead vertex
-            if forced:
-                stack.append((chosen | forced, excluded, levels, forced))
-                continue
-            if not needy:
-                best = size
-                best_mask = chosen
-                continue
+        if forced:
+            stack.append((chosen | forced, excluded, levels, forced))
+            continue
+        if not needy:
+            best = size
+            best_mask = chosen
+            continue
 
-            # Lower bound: needy vertices with pairwise disjoint option
-            # pools, smallest pools first, require that many separate
-            # selections.
-            bound = 0
-            used = 0
-            for _, _, pool_need, options in sorted(pools):
-                if options & used:
-                    continue
-                used |= options
-                bound += pool_need
-            if size + bound >= best:
+        # Lower bound: needy vertices with pairwise disjoint option
+        # pools, smallest pools first, require that many separate
+        # selections.
+        bound = 0
+        used = 0
+        for _, _, pool_need, options in sorted(pools):
+            if options & used:
                 continue
-            # Counting bound: kn / (max degree + k) at the root.
-            if size - (-outstanding // reach) >= best:
-                continue
+            used |= options
+            bound += pool_need
+        if size + bound >= best:
+            continue
+        # Counting bound: kn / (max degree + k) at the root.
+        if size - (-outstanding // reach) >= best:
+            continue
 
-            # Branch on the most constrained vertex's most useful option.
-            pivot, pivot_score = -1, -1
-            for u in _bit_list(branch_options):
-                score = (adj[u] & needy).bit_count() + (needy >> u & 1)
-                if score > pivot_score:
-                    pivot, pivot_score = u, score
-            bit = 1 << pivot
-            # Pushed last, the include child is searched first.
-            stack.append((chosen, excluded | bit, levels, 0))
-            stack.append((chosen | bit, excluded, levels, bit))
+        # Branch on the most constrained vertex's most useful option.
+        pivot, pivot_score = -1, -1
+        for u in _bit_list(branch_options):
+            score = (adj[u] & needy).bit_count() + (needy >> u & 1)
+            if score > pivot_score:
+                pivot, pivot_score = u, score
+        bit = 1 << pivot
+        # Pushed last, the include child is searched first.
+        stack.append((chosen, excluded | bit, levels, 0))
+        stack.append((chosen | bit, excluded, levels, bit))
     return best, best_mask
 
 
@@ -283,7 +285,7 @@ def gamma_k(g: Graph, k: int) -> DominationResult:
     Solved independently per connected component, found on the adjacency
     masks (``gamma_k_masks``); the empty graph has gamma_k = 0.
     """
-    check_order(k)
+    check_int("k", k, 1)
     number, witness = gamma_k_masks(g.adjacency_masks(), (1 << g.n) - 1, k)
     return DominationResult(k, number, frozenset(_bit_list(witness)))
 
@@ -308,7 +310,7 @@ def _k_dominating_by_size(
     """For each size 0..n in turn, a lazy stream of the k-dominating
     subsets of that size in lexicographic order.  ``what`` names the
     caller in the size-guard error."""
-    check_order(k)
+    check_int("k", k, 1)
     check_size(what, g.n, BRUTE_FORCE_VERTEX_LIMIT)
     masks = g.adjacency_masks()
     bits = [1 << v for v in range(g.n)]
@@ -372,10 +374,7 @@ class CnfFormula:
     clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        if type(self.num_vars) is not int or self.num_vars < 0:
-            raise ValueError(
-                f"variable count must be a non-negative int, got {self.num_vars!r}"
-            )
+        check_int("variable count", self.num_vars, 0)
         for idx, clause in enumerate(self.clauses):
             if len(clause) != 3:
                 raise ValueError(f"clause #{idx} has {len(clause)} literals")

@@ -36,7 +36,7 @@ from .constructions import (
     reduce_3sat,
     star,
 )
-from .graph import Graph, from_edges, is_connected, is_independent
+from .graph import Graph, check_int, from_edges, is_connected, is_independent
 from .matching import (
     BRUTE_FORCE_EDGE_LIMIT,
     brute_force_maximum_matching,
@@ -499,8 +499,8 @@ def run_verify(
     matches no check raises ``ValueError``, so a mistyped request cannot
     pass by running nothing.
     """
-    if budget is not None and (type(budget) is not int or budget < 0):
-        raise ValueError(f"budget must be an int >= 0, got {budget!r}")
+    if budget is not None:
+        check_int("budget", budget, 0)
     names = [name for name in sorted(_CHECKS) if not scope or name.startswith(scope)]
     if not names:
         raise ValueError(

@@ -1,5 +1,6 @@
 """Command-line behaviour: output shapes and the exit-code contract."""
 
+import io
 import json
 
 import pytest
@@ -45,6 +46,8 @@ def test_gen_s_rejects_garbage(capsys):
     # "".split(",") is [""], so an empty list fails as a non-integer.
     assert main(["gen", "s", ""]) == 2
     assert "comma-separated integers" in capsys.readouterr().err
+    assert main(["gen", "s", "2,1"]) == 2
+    assert "multiplicity must be an int >= 2, got 1" in capsys.readouterr().err
 
 
 def test_gen_joinc4_outputs_graph_text(capsys, c4_file):
@@ -107,6 +110,18 @@ def test_recognize_h_equal_and_not_equal(tmp_path, capsys):
     assert main(["gen", "dsub", str(star_file), "--out", str(inst_file)]) == 0
     assert main(["recognize", "h", str(inst_file)]) == 0
     assert "EQUAL" in capsys.readouterr().out
+
+
+def test_recognize_h_prints_the_ring_certificate(monkeypatch, capsys):
+    # gamma2 gen a 3 | gamma2 recognize h -
+    assert main(["gen", "a", "3"]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    assert main(["recognize", "h", "-"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "NOT-EQUAL",
+        "certificate: ring center=0 spokes=(1,4,5) (2,6,7) (3,8,9)",
+        "matching calls: 1",
+    ]
 
 
 def test_recognize_h_invalid_instance_exits_2(tmp_path, capsys):

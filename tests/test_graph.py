@@ -24,9 +24,19 @@ from gamma2 import (
     perfect_oracle,
     power,
 )
-from gamma2.constructions import complete, cycle, path, petersen, star
+from gamma2.constructions import (
+    complete,
+    cycle,
+    gadget_a,
+    gadget_s,
+    path,
+    petersen,
+    random_h_instance,
+    star,
+)
 from gamma2.graph import short_cycle
-from gamma2.verify import random_graph
+from gamma2.solvers import gamma_k
+from gamma2.verify import random_graph, run_verify
 
 
 def edge_lists(max_n: int = 10):
@@ -258,4 +268,68 @@ def test_exhaustive_routes_share_one_size_rule(name):
     route(at_limit)  # the limit itself is accepted
     with pytest.raises(ValueError) as info:
         route(over)
+    assert str(info.value) == message
+
+
+# (call, the full refusal): one bad count or order per call site, each a
+# float, a bool or a value below the minimum
+INT_RULE = {
+    "is_k_dominating": (
+        lambda: is_k_dominating(path(3), [1], 2.0), "k must be an int >= 1, got 2.0",
+    ),
+    "gamma_k": (lambda: gamma_k(path(3), True), "k must be an int >= 1, got True"),
+    "gamma_k_bruteforce": (
+        lambda: gamma_k_bruteforce(path(3), 0), "k must be an int >= 1, got 0",
+    ),
+    "power": (lambda: power(path(3), 1.5), "k must be an int >= 1, got 1.5"),
+    "from_edges": (
+        lambda: from_edges(2.5, []), "vertex count must be an int >= 0, got 2.5",
+    ),
+    "from_edges bool": (
+        lambda: from_edges(True, []), "vertex count must be an int >= 0, got True",
+    ),
+    "complete": (
+        lambda: complete(3.0), "vertex count must be an int >= 0, got 3.0",
+    ),
+    "random_graph": (
+        lambda: random_graph(random.Random(0), -1, 0.5),
+        "vertex count must be an int >= 0, got -1",
+    ),
+    "random_h_instance": (
+        lambda: random_h_instance(3.0, 0.3, 0.3, seed=0),
+        "vertex count must be an int >= 0, got 3.0",
+    ),
+    "cycle": (lambda: cycle(5.0), "cycle length must be an int >= 3, got 5.0"),
+    "path": (lambda: path(True), "path length must be an int >= 1, got True"),
+    "star": (lambda: star(True), "leaf count must be an int >= 0, got True"),
+    "gadget_a": (lambda: gadget_a(3.0), "ring gadget k must be an int >= 2, got 3.0"),
+    "gadget_s leaves": (
+        lambda: gadget_s([]), "leaf count must be an int >= 1, got 0",
+    ),
+    "gadget_s multiplicity": (
+        lambda: gadget_s([3, 2.0]), "multiplicity must be an int >= 2, got 2.0",
+    ),
+    "CnfFormula": (
+        lambda: CnfFormula(-1, ()), "variable count must be an int >= 0, got -1",
+    ),
+    "run_verify": (
+        lambda: run_verify(budget=True), "budget must be an int >= 0, got True",
+    ),
+    # endpoints follow the vertex rule: True is not vertex 1
+    "from_edges endpoint True": (
+        lambda: from_edges(3, [(True, 2)]),
+        "edge #0 (True, 2) has an endpoint outside 0..2",
+    ),
+    "from_edges endpoint 1.0": (
+        lambda: from_edges(3, [(0, 1), (1.0, 2)]),
+        "edge #1 (1.0, 2) has an endpoint outside 0..2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INT_RULE))
+def test_counts_and_orders_share_one_integer_rule(name):
+    call, message = INT_RULE[name]
+    with pytest.raises(ValueError) as info:
+        call()
     assert str(info.value) == message

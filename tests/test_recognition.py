@@ -129,6 +129,10 @@ def test_validate_rejects_adjacent_pair():
         (None, {(0, 1): (0, 4), (1, 2): (5, 6)}, "names 0, which is not a non-D"),
         (None, {(0, 1): (3, 4), (1, 2): (4, 6)}, "vertex 4 belongs to two pairs"),
         ({0, True, 2}, None, "D-vertex True outside 0..6"),
+        # pair keys and pair vertices are ints: False is not vertex 0
+        (None, {(False, True): (3, 4), (1, 2): (5, 6)},
+         "pair key (False, True) is not an ordered pair of D-vertices"),
+        (None, {(0, 1): (3.0, 4), (1, 2): (5, 6)}, "names 3.0, which is not a non-D"),
     ],
 )
 def test_validate_names_each_pair_rule(d, pair_map, rule):
@@ -216,6 +220,8 @@ def test_tampered_witness_fails_replay():
     tampered = {
         "repeated vertex": (bridge_inst, replace(b, u1=b.v1)),
         "bridge vertex out of range": (bridge_inst, replace(b, u2=99)),
+        "bridge vertex a bool": (bridge_inst, replace(b, u1=True)),
+        "bridge vertex a float": (bridge_inst, replace(b, u1=float(b.u1))),
         "bridge endpoint outside D": (
             replace(bridge_inst, d=bridge_inst.d - {b.u1}), b,
         ),
@@ -231,6 +237,7 @@ def test_tampered_witness_fails_replay():
             ring_inst, replace(a, spokes=((99, *first[1:]), second, third)),
         ),
         "fewer than two spokes": (ring_inst, replace(a, spokes=(first,))),
+        "centre a bool": (ring_inst, replace(a, center=bool(a.center))),
         "centre outside D": (
             ring_inst, replace(a, center=third[1], spokes=(first, second)),
         ),
@@ -385,6 +392,28 @@ def test_recognize_perfect_is_linear_in_the_leaves():
 def test_recognize_perfect_requires_min_degree_two():
     with pytest.raises(ValueError, match="vertex 0"):
         recognize_perfect(path(4))
+
+
+@pytest.mark.parametrize(
+    "g, vertex",
+    [
+        (path(3), 0),
+        (path(1), 0),
+        (star(3), 1),
+        (from_edges(5, cycle(4).edge_list() + [(0, 4)]), 4),
+    ],
+)
+def test_structural_routes_share_one_domain(g, vertex):
+    # a vertex of degree < 2 is outside both structural routes' domain;
+    # the definitional oracle answers on any graph
+    for route in (recognize_perfect, forbidden_subgraph_check):
+        with pytest.raises(ValueError) as info:
+            route(g)
+        assert str(info.value) == (
+            f"{route.__name__} needs minimum degree >= 2; "
+            f"vertex {vertex} has degree {g.degree(vertex)}"
+        )
+    assert perfect_oracle(g)
 
 
 def test_forbidden_subgraph_route():

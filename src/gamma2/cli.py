@@ -60,9 +60,17 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def integer(text: str) -> int:
+    """The argparse type of every integer argument: ASCII decimal, the
+    rule of the file formats, so ``+3``, ``1_0`` and other scripts' digits
+    are usage errors."""
+    formats._check_decimal(text)
+    return int(text)
+
+
 def _parse_multiplicities(raw: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in raw.split(","))
+        return tuple(integer(part) for part in raw.split(","))
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {raw!r}")
 
@@ -196,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a fixture graph or instance")
     gen_sub = gen.add_subparsers(dest="kind", required=True)
     gen_a = gen_sub.add_parser("a", help="ring gadget on a k-leaf star")
-    gen_a.add_argument("k", type=int, help="number of spokes, >= 2")
+    gen_a.add_argument("k", type=integer, help="number of spokes, >= 2")
     gen_sub.add_parser("b", help="bridged pair of subdivided edges")
     gen_sub.add_parser("t6", help="edge with two pendant edges per end")
     gen_s = gen_sub.add_parser("s", help="doubled-subdivided star")
@@ -206,13 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen_join = gen_sub.add_parser("joinc4", help="join a graph to a 4-cycle")
     gen_join.add_argument("graph", help="graph file, or - for stdin")
     gen_rand = gen_sub.add_parser("random-h", help="random instance, underlying girth >= 5")
-    gen_rand.add_argument("--size", type=int, required=True,
+    gen_rand.add_argument("--size", type=integer, required=True,
                           help="vertex count of the underlying graph")
     gen_rand.add_argument("--ep", type=float, default=0.35,
                           help="underlying edge probability")
     gen_rand.add_argument("--sp", type=float, default=0.25,
                           help="supplementary edge probability")
-    gen_rand.add_argument("--seed", type=int, default=0)
+    gen_rand.add_argument("--seed", type=integer, default=0)
     for name in gen_sub.choices:
         gen_sub.choices[name].add_argument("--out", default=None)
     gen.set_defaults(func=_cmd_gen)
@@ -223,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_p.set_defaults(func=_cmd_reduce)
 
     solve = sub.add_parser("solve", help="exact k-domination number")
-    solve.add_argument("--k", type=int, default=1,
+    solve.add_argument("--k", type=integer, default=1,
                        help="domination order (gamma_k), default 1")
     solve.add_argument("graph", help="graph file, or - for stdin")
     solve.set_defaults(func=_cmd_solve)
@@ -251,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the cross-validation suites")
     verify.add_argument("--scope", default=None,
                         help="only run checks whose name starts with this prefix")
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--budget", type=int, default=None,
+    verify.add_argument("--seed", type=integer, default=0)
+    verify.add_argument("--budget", type=integer, default=None,
                         help="instances per check (overrides defaults; 0 runs nothing)")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--out", default=None, help="counterexample directory")

@@ -75,6 +75,21 @@ class Graph:
             self._masks = tuple([sum(1 << u for u in row) for row in self._adj])
         return self._masks
 
+    def without_edge(self, u: int, v: int) -> Graph:
+        """This graph minus the edge (u, v).  Every other row is shared
+        with this graph and only rows u and v are rebuilt, so the cost is
+        O(n + deg u + deg v); the masks are built afresh when asked for."""
+        checked_vertices(self, (u, v))
+        if v not in self._adj[u]:
+            raise ValueError(f"({u}, {v}) is not an edge")
+        adj = list(self._adj)
+        i, j = adj[u].index(v), adj[v].index(u)
+        adj[u] = adj[u][:i] + adj[u][i + 1:]
+        adj[v] = adj[v][:j] + adj[v][j + 1:]
+        g = Graph.__new__(Graph)
+        g.n, g._adj, g._m, g._masks = self.n, tuple(adj), self._m - 1, None
+        return g
+
     # -- dunder plumbing --------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -276,9 +276,11 @@ def recognize_h(inst: PartitionedInstance) -> RecognitionVerdict:
     Near-linear: one pass over the instance (validation, the bridge scan
     over the supplementary edges, and each D-vertex's incident pairs and
     local graph read off the rows of its own neighbours, numbered pair
-    by pair), plus, per (D-vertex, incident pair), one maximum matching
-    of the local graph without that pair's edge: one greedy pass and at
-    most one augmenting search.
+    by pair).  Each D-vertex's local ``Graph``, with every pair edge in
+    it, is built once; per incident pair, ``Graph.without_edge`` drops
+    that pair's edge, sharing the other rows, and one maximum matching
+    of the result costs one greedy pass and at most one augmenting
+    search.
     Raises :class:`InvalidHInstanceError` on malformed input.
     """
     report = validate_h(inst)
@@ -323,13 +325,14 @@ def recognize_h(inst: PartitionedInstance) -> RecognitionVerdict:
         if len(keys) < 2:
             continue
         # Local vertices 2s and 2s + 1 are the pair keys[s], so i ^ 1 is
-        # the partner of i; each row ends with its pair edge.
+        # the partner of i; the local graph holds every pair edge, and each
+        # removed pair shares all rows but its own two.
         local = [x for key in keys for x in inst.pair_map[key]]
         index = {v: i for i, v in enumerate(local)}
-        rows = [
+        whole = Graph(len(local), [
             [index[u] for u in g.neighbors(v) if u in index] + [i ^ 1]
             for i, v in enumerate(local)
-        ]
+        ])
         for t in range(len(keys)):
             # Without pair t's edge, the greedy start in maximum_matching
             # reaches each intact pair (both vertices free) at its lower
@@ -340,11 +343,8 @@ def recognize_h(inst: PartitionedInstance) -> RecognitionVerdict:
             # pair, which breaks at most that pair's other vertex.  Only
             # pair t starts broken, so at most two vertices stay exposed:
             # one greedy pass plus at most one augmenting search.
-            aux_rows = rows.copy()
-            aux_rows[2 * t] = rows[2 * t][:-1]
-            aux_rows[2 * t + 1] = rows[2 * t + 1][:-1]
             matching_calls += 1
-            m = maximum_matching(Graph(len(local), aux_rows))
+            m = maximum_matching(whole.without_edge(2 * t, 2 * t + 1))
             if m.size == len(keys):
                 witness = _trace_ring(center, keys, t, local, m.mate)
                 return RecognitionVerdict(False, witness, matching_calls)

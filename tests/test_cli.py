@@ -213,6 +213,32 @@ def test_solve_underscore_token_exits_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "a", "\u0663"],  # Arabic-Indic three
+        ["gen", "a", "+3"],
+        ["gen", "s", "1_0,2"],
+        ["solve", "--k", "1_0", "-"],
+    ],
+)
+def test_integer_arguments_are_ascii_decimal(capsys, argv):
+    # int() reads all four; the file formats' decimal rule refuses them,
+    # in argparse (which exits) or, for the multiplicity list, in main
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "integer" in captured.err
+
+
+def test_negative_seed_is_an_integer(capsys):
+    assert main(["verify", "--seed", "-1", "--budget", "1"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
 def test_verify_text_and_json(capsys):
     assert main(["verify", "--budget", "2"]) == 0
     assert "all checks passed" in capsys.readouterr().out

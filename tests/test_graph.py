@@ -191,6 +191,32 @@ def test_adjacency_masks():
     assert masks[2] == (1 << 1) | (1 << 3)
 
 
+@given(edge_lists())
+def test_without_edge_equals_building_without_it(ne):
+    n, edges = ne
+    g = from_edges(n, edges)
+    before = g.adjacency_masks()
+    for u, v in g.edge_list():
+        h = g.without_edge(v, u)
+        rest = [e for e in g.edge_list() if e != (u, v)]
+        assert h == from_edges(n, rest) and h.m == g.m - 1
+        assert h.adjacency_masks() == tuple(
+            sum(1 << w for w in h.neighbors(x)) for x in range(n)
+        )
+    # the original graph and its cached masks are untouched
+    assert g == from_edges(n, edges) and g.adjacency_masks() is before
+
+
+@pytest.mark.parametrize(
+    "u, v, message",
+    [(0, 2, r"\(0, 2\) is not an edge"), (0, 4, "vertex 4 outside 0..3"),
+     (True, 0, "vertex True outside 0..3")],
+)
+def test_without_edge_rejects_non_edges(u, v, message):
+    with pytest.raises(ValueError, match=message):
+        path(4).without_edge(u, v)
+
+
 def _short_cycle_brute_force(g):
     for a, b, c in combinations(range(g.n), 3):
         if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c):

@@ -1,10 +1,11 @@
 """Recognition: equality decision on subdivision instances, and the three
 routes to hereditary equality."""
 
+import hashlib
 import random
 import time
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -46,7 +47,11 @@ from gamma2.recognition import (
     FORBIDDEN_CHECK_VERTEX_LIMIT,
     PERFECT_ORACLE_VERTEX_LIMIT,
 )
-from gamma2.verify import perfect_fixtures, t6_augmented_fixtures
+from gamma2.verify import (
+    h_instance_stream,
+    perfect_fixtures,
+    t6_augmented_fixtures,
+)
 
 
 def shift(g, offset, n):
@@ -321,6 +326,22 @@ def test_ring_scan_matches_local_graphs_missing_one_pair_edge(monkeypatch):
         pairs = range(g.n // 2)
         missing = [s for s in pairs if not g.has_edge(2 * s, 2 * s + 1)]
         assert g.n % 2 == 0 and len(missing) == 1
+
+
+def test_recognize_h_outputs_are_pinned():
+    # Verdicts, witnesses and matching-call counts on a seeded corpus of
+    # both verdicts: a change to the scans must keep all three, or update
+    # this digest and say so.
+    instances = [gadget_a(k) for k in range(2, 9)] + [gadget_b()]
+    instances += [_dense_star(seed) for seed in range(40)]
+    instances += list(islice(h_instance_stream(7), 300))
+    digest = hashlib.sha256()
+    for inst in instances:
+        v = recognize_h(inst)
+        digest.update(f"{v.equal}:{v.witness!r}:{v.matching_calls};".encode())
+    assert digest.hexdigest() == (
+        "1040ba5b6ee1487c85465ec87d9576c9e335a9b1976a64824e513a66dc5f3207"
+    )
 
 
 def test_recognize_scales_to_large_trees():

@@ -12,7 +12,6 @@ from .graph import (
 from .matching import (
     Matching,
     brute_force_maximum_matching,
-    is_perfect,
     maximum_matching,
 )
 from .solvers import (

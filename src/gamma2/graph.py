@@ -43,7 +43,9 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
+        """False unless u and v are both vertices (ints in 0..n-1, never a
+        bool or float) and adjacent."""
+        if not (type(u) is type(v) is int and 0 <= u < self.n and 0 <= v < self.n):
             return False
         # adjacency rows are short; linear scan beats bisect in practice
         return v in self._adj[u]

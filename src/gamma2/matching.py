@@ -29,28 +29,11 @@ class Matching:
 
     @property
     def size(self) -> int:
-        return sum(1 for partner in self.mate if partner is not None) // 2
-
-    def covers(self, v: int) -> bool:
-        return self.mate[v] is not None
+        return (len(self.mate) - self.mate.count(None)) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(
-            (v, u) for v, u in enumerate(self.mate) if u is not None and v < u
-        )
-
-
-def is_perfect(m: Matching, g: Graph) -> bool:
-    """True iff ``m`` covers every vertex of ``g``."""
-    if len(m.mate) != g.n:
-        raise ValueError(
-            f"matching is over {len(m.mate)} vertices, graph has {g.n}"
-        )
-    return all(partner is not None for partner in m.mate)
-
-
-def _matching_from_mate(mate: list[int]) -> Matching:
-    return Matching(tuple(None if p == -1 else p for p in mate))
+        """Each matched edge once as (v, u) with v < u, in sorted order."""
+        return [(v, u) for v, u in enumerate(self.mate) if u is not None and v < u]
 
 
 def maximum_matching(g: Graph) -> Matching:
@@ -63,13 +46,13 @@ def maximum_matching(g: Graph) -> Matching:
     start that leaves two vertices exposed costs at most one search.
     """
     n = g.n
-    mate = [-1] * n
+    mate: list[int | None] = [None] * n
 
     # Greedy initial matching saves most of the augmenting phases.
     for v in range(n):
-        if mate[v] == -1:
+        if mate[v] is None:
             for u in g.neighbors(v):
-                if mate[u] == -1:
+                if mate[u] is None:
                     mate[v] = u
                     mate[u] = v
                     break
@@ -84,7 +67,7 @@ def maximum_matching(g: Graph) -> Matching:
         while True:
             v = base[v]
             marked[v] = True
-            if mate[v] == -1:
+            if mate[v] is None:
                 break
             v = parent[mate[v]]
         v = b
@@ -117,7 +100,7 @@ def maximum_matching(g: Graph) -> Matching:
             for u in g.neighbors(v):
                 if base[u] == base[v] or mate[v] == u:
                     continue
-                if u == root or (mate[u] != -1 and parent[mate[u]] != -1):
+                if u == root or (mate[u] is not None and parent[mate[u]] != -1):
                     # u is outer too: the edge closes an odd cycle.
                     cur_base = lca(v, u)
                     in_blossom = [False] * n
@@ -132,7 +115,7 @@ def maximum_matching(g: Graph) -> Matching:
                 elif parent[u] == -1:
                     # u is unreached: it becomes an inner vertex.
                     parent[u] = v
-                    if mate[u] == -1:
+                    if mate[u] is None:
                         return u  # exposed: augmenting path found
                     outer[mate[u]] = True
                     queue.append(mate[u])
@@ -141,9 +124,9 @@ def maximum_matching(g: Graph) -> Matching:
     # A vertex with no augmenting path never gets one after later
     # augmentations (Edmonds), so every path still to be found joins two
     # exposed roots not yet searched: stop when fewer than two remain.
-    unsearched = mate.count(-1)
+    unsearched = mate.count(None)
     for root in range(n):
-        if mate[root] != -1:
+        if mate[root] is not None:
             continue
         if unsearched < 2:
             break
@@ -153,14 +136,14 @@ def maximum_matching(g: Graph) -> Matching:
             continue
         unsearched -= 1
         # Flip matched/unmatched edges along the path back to the root.
-        while end != -1:
+        while end is not None:
             prev = parent[end]
             next_end = mate[prev]
             mate[end] = prev
             mate[prev] = end
             end = next_end
 
-    return _matching_from_mate(mate)
+    return Matching(tuple(mate))
 
 
 def brute_force_maximum_matching(g: Graph) -> Matching:
@@ -203,8 +186,8 @@ def brute_force_maximum_matching(g: Graph) -> Matching:
         search(free & ~(1 << pivot))
 
     search((1 << n) - 1)
-    mate = [-1] * n
+    mate: list[int | None] = [None] * n
     for u, v in best_edges:
         mate[u] = v
         mate[v] = u
-    return _matching_from_mate(mate)
+    return Matching(tuple(mate))

@@ -48,15 +48,10 @@ PERFECT_ORACLE_VERTEX_LIMIT = 13
 
 @dataclass(frozen=True)
 class HValidationReport:
-    """Outcome of :func:`validate_h`.
-
-    ``underlying`` is the reconstructed underlying graph (on the sorted
-    D-vertices relabelled 0..|D|-1) when the pair structure itself is
-    sound, else None.  ``failures`` lists every violated rule.
-    """
+    """Outcome of :func:`validate_h`: ``failures`` lists every violated
+    rule, and ``valid`` is True iff there is none."""
 
     valid: bool
-    underlying: Optional[Graph]
     failures: tuple[str, ...]
 
 
@@ -85,7 +80,7 @@ def validate_h(inst: PartitionedInstance) -> HValidationReport:
     try:
         checked_vertices(g, d)
     except ValueError as exc:  # "vertex v outside 0..n-1"
-        return HValidationReport(False, None, (f"D-{exc}",))
+        return HValidationReport(False, (f"D-{exc}",))
 
     for u in sorted(d):
         for w in g.neighbors(u):
@@ -137,7 +132,6 @@ def validate_h(inst: PartitionedInstance) -> HValidationReport:
             f"vertex {v} is outside D but not a subdivision vertex of any pair"
         )
 
-    underlying: Optional[Graph] = None
     if structure_ok:
         order = sorted(d)
         position = {v: i for i, v in enumerate(order)}
@@ -151,7 +145,7 @@ def validate_h(inst: PartitionedInstance) -> HValidationReport:
         elif girth == 4:
             failures.append("underlying graph contains a 4-cycle")
 
-    return HValidationReport(not failures, underlying, tuple(failures))
+    return HValidationReport(not failures, tuple(failures))
 
 
 def extract_underlying(g: Graph, d: frozenset[int]) -> Graph:

@@ -50,12 +50,17 @@ class DominationResult:
 def is_k_dominating(g: Graph, s: Iterable[int], k: int) -> bool:
     """True iff every vertex outside ``s`` has >= k neighbours in ``s``."""
     check_int("k", k, 1)
-    ss = checked_vertices(g, s)
-    return all(
-        sum(1 for u in g.neighbors(v) if u in ss) >= k
-        for v in range(g.n)
-        if v not in ss
-    )
+    subset = sum(1 << v for v in checked_vertices(g, s))
+    return _bit_is_k_dominating(g.adjacency_masks(), subset, g.n, k)
+
+
+def _bit_is_k_dominating(masks: Sequence[int], subset: int, n: int, k: int) -> bool:
+    for v in range(n):
+        if subset >> v & 1:
+            continue
+        if (masks[v] & subset).bit_count() < k:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -295,40 +300,31 @@ def gamma_k(g: Graph, k: int) -> DominationResult:
 # ---------------------------------------------------------------------------
 
 
-def _bit_is_k_dominating(masks: Sequence[int], subset: int, n: int, k: int) -> bool:
-    for v in range(n):
-        if subset >> v & 1:
-            continue
-        if (masks[v] & subset).bit_count() < k:
-            return False
-    return True
+def _min_k_dominating(g: Graph, k: int, what: str) -> Iterator[frozenset[int]]:
+    """The minimum k-dominating sets of ``g`` in lexicographic order.
 
-
-def _k_dominating_by_size(
-    g: Graph, k: int, what: str
-) -> Iterator[Iterator[frozenset[int]]]:
-    """For each size 0..n in turn, a lazy stream of the k-dominating
-    subsets of that size in lexicographic order.  ``what`` names the
-    caller in the size-guard error."""
+    Scans subset sizes from zero and stops after the first size that has
+    one, so the stream is never empty: the full vertex set k-dominates.
+    ``what`` names the caller in the size-guard error.
+    """
     check_int("k", k, 1)
     check_size(what, g.n, BRUTE_FORCE_VERTEX_LIMIT)
     masks = g.adjacency_masks()
     bits = [1 << v for v in range(g.n)]
     for size in range(g.n + 1):
-        yield (
-            frozenset(v for v in range(g.n) if subset >> v & 1)
-            for subset in map(sum, combinations(bits, size))
-            if _bit_is_k_dominating(masks, subset, g.n, k)
-        )
+        found = False
+        for subset in map(sum, combinations(bits, size)):
+            if _bit_is_k_dominating(masks, subset, g.n, k):
+                found = True
+                yield frozenset(v for v in range(g.n) if subset >> v & 1)
+        if found:
+            return
 
 
 def gamma_k_bruteforce(g: Graph, k: int) -> DominationResult:
     """Subset enumeration by increasing size; the validation oracle."""
-    sizes = _k_dominating_by_size(g, k, "gamma_k_bruteforce")
-    for size, subsets in enumerate(sizes):
-        for subset in subsets:
-            return DominationResult(k, size, subset)
-    raise AssertionError("unreachable: the full vertex set k-dominates")
+    witness = next(_min_k_dominating(g, k, "gamma_k_bruteforce"))
+    return DominationResult(k, len(witness), witness)
 
 
 def enumerate_min_k_dominating(g: Graph, k: int) -> list[frozenset[int]]:
@@ -337,11 +333,7 @@ def enumerate_min_k_dominating(g: Graph, k: int) -> list[frozenset[int]]:
     Self-contained: rescans subset sizes from zero rather than trusting
     the branch-and-bound optimum.
     """
-    for subsets in _k_dominating_by_size(g, k, "enumerate_min_k_dominating"):
-        found = list(subsets)
-        if found:
-            return found
-    raise AssertionError("unreachable: the full vertex set k-dominates")
+    return list(_min_k_dominating(g, k, "enumerate_min_k_dominating"))
 
 
 def gamma_and_gamma2(g: Graph) -> tuple[int, int]:

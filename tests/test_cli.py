@@ -8,6 +8,7 @@ import pytest
 from gamma2 import cli, formats, solvers
 from gamma2.cli import main
 from gamma2.constructions import cycle, petersen
+from gamma2.verify import UNSAT_COVERED_6
 
 
 @pytest.fixture
@@ -64,6 +65,14 @@ def test_gen_out_writes_file(tmp_path, capsys):
     assert doc["n"] == 8
 
 
+def test_gen_random_h_reports_an_exhausted_attempt_budget(capsys):
+    # --ep 1 draws K5, which has triangles, on every one of the attempts
+    assert main(["gen", "random-h", "--size", "5", "--ep", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no instance found within the attempt budget" in captured.err
+
+
 def test_gen_random_h_is_deterministic(capsys):
     assert main(["gen", "random-h", "--size", "4", "--seed", "9"]) == 0
     first = capsys.readouterr().out
@@ -96,6 +105,13 @@ def test_match_prints_mu_and_mates(tmp_path, capsys):
     assert lines[0] == "mu = 5"
     mates = lines[1].split()[1:]
     assert len(mates) == 10 and "-1" not in mates
+
+
+def test_match_prints_exposed_vertices_as_minus_one(tmp_path, capsys):
+    target = tmp_path / "p2.txt"
+    target.write_text("3 1\n0 1\n")
+    assert main(["match", str(target)]) == 0
+    assert capsys.readouterr().out == "mu = 1\nmate: 1 0 -1\n"
 
 
 def test_recognize_h_equal_and_not_equal(tmp_path, capsys):
@@ -192,6 +208,9 @@ def test_reduce_reports_precondition(tmp_path, capsys):
     doc = json.loads(captured.out)
     assert doc["n"] == 3 * 3 + 1 + 3
     assert "precondition fails" in captured.err
+    cnf.write_text(formats.cnf_to_text(UNSAT_COVERED_6))
+    assert main(["reduce", str(cnf)]) == 0
+    assert "triple-cover precondition holds" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(capsys):

@@ -106,6 +106,10 @@ def test_build_supplementary_vertex_rules():
         build(ConstructionSpec(path(3), y_specs=(frozenset({0}),)))
     assert err.value.rule == "y-neighbourhood-size"
 
+    with pytest.raises(ConstructionError) as err:
+        build(ConstructionSpec(path(3), y_specs=(frozenset({0, 5}),)))
+    assert err.value.rule == "y-neighbourhood-domain"
+
 
 def test_build_supplementary_edge_rules():
     f = path(3)
@@ -121,6 +125,10 @@ def test_build_supplementary_edge_rules():
     with pytest.raises(ConstructionError) as err:
         build(ConstructionSpec(f, supp_edges=((3, 99),)))
     assert err.value.rule == "supp-edge-range"
+    # loop
+    with pytest.raises(ConstructionError) as err:
+        build(ConstructionSpec(f, supp_edges=((3, 3),)))
+    assert err.value.rule == "supp-edge-loop"
     # legal cross-pair edge
     inst = build(ConstructionSpec(f, supp_edges=((3, 5),)))
     assert inst.g.has_edge(3, 5)

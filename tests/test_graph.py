@@ -71,6 +71,14 @@ def test_from_edges_rejects_out_of_range():
         from_edges(0, [(0, 0)])
 
 
+def test_has_edge_follows_the_vertex_rule():
+    g = from_edges(3, [(1, 2)])
+    assert g.has_edge(1, 2) and g.has_edge(2, 1)
+    # True is not vertex 1, 1.0 is no vertex, and 3 and -1 are out of range
+    for u, v in ((True, 2), (2, True), (1.0, 2), (1, 3), (-1, 2)):
+        assert not g.has_edge(u, v)
+
+
 def test_neighbors_and_degree():
     g = path(4)
     assert g.neighbors(0) == (1,)

@@ -72,6 +72,7 @@ def test_graph_roundtrip(n, raw_edges):
         ("12 1\n0 \u0661\n", 2),
         ("1_0 0\n", 1),
         ("\u0661 0\n", 1),
+        ("3 1 2\n0 1\n", 1),        # three header tokens
     ],
 )
 def test_parse_graph_errors_carry_line_numbers(text, line):
@@ -135,6 +136,7 @@ def _tamper(mutate):
         (lambda d: d["pairs"][0].update(fv=False), "'fu' and 'fv'"),
         (lambda d: d["pairs"][0].update(x=[True, 5]), "'x' must list"),
         (lambda d: d["edges"].append([True, 2]), "boolean"),
+        (lambda d: d["pairs"][0].pop("x"), "pair #0 must have keys fu, fv, x"),
     ],
 )
 def test_instance_json_structural_errors(mutate, needle):
@@ -217,6 +219,21 @@ def test_cnf_roundtrip():
 def test_parse_cnf_errors(text):
     with pytest.raises(ParseError):
         parse_cnf(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, message",
+    [
+        (parse_instance, "[1]", None, "instance JSON must be an object"),
+        (parse_cnf, "p cnf 3 0\np cnf 3 0\n", 2, "duplicate problem line"),
+        (parse_cnf, "p dnf 3 1\n", 1, "expected 'p cnf <vars> <clauses>'"),
+        (parse_cnf, "c no problem line\n", None, "missing problem line"),
+    ],
+)
+def test_parse_errors_name_their_rule_and_line(parse, text, line, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse(text)
+    assert err.value.line == line
 
 
 def test_roundtrip_on_random_instances():

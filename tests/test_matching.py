@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gamma2 import (
     brute_force_maximum_matching,
     from_edges,
-    is_perfect,
     maximum_matching,
 )
 from gamma2.constructions import complete, cycle, path, petersen
@@ -44,9 +43,10 @@ def test_known_matching_numbers(g, mu):
 
 
 def test_perfect_matching_detection():
-    assert is_perfect(maximum_matching(cycle(4)), cycle(4))
-    assert is_perfect(maximum_matching(petersen()), petersen())
-    assert not is_perfect(maximum_matching(cycle(5)), cycle(5))
+    # a perfect matching leaves no None in the mate table
+    assert None not in maximum_matching(cycle(4)).mate
+    assert None not in maximum_matching(petersen()).mate
+    assert maximum_matching(cycle(5)).mate.count(None) == 1
 
 
 def test_odd_cycle_chain():
@@ -59,8 +59,12 @@ def test_odd_cycle_chain():
 
 def test_matching_covers_and_edges():
     m = maximum_matching(cycle(4))
-    assert m.covers(0) and m.covers(3)
-    assert len(m.edges()) == 2
+    assert m.mate[0] is not None and m.mate[3] is not None
+    assert m.edges() == [(0, 1), (2, 3)]
+    # exposed vertices are None; edges() lists each matched edge once, sorted
+    m = maximum_matching(from_edges(5, [(3, 4), (0, 2)]))
+    assert m.mate == (2, None, 0, 4, 3)
+    assert m.size == 2 and m.edges() == [(0, 2), (3, 4)]
 
 
 def test_brute_force_rejects_large_graphs():

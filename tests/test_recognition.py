@@ -66,7 +66,6 @@ def test_validate_accepts_built_instances():
         report = validate_h(inst)
         assert report.valid
         assert report.failures == ()
-        assert report.underlying is not None
 
 
 def test_validate_rejects_dependent_specified_set():
@@ -149,8 +148,9 @@ def test_validate_names_each_pair_rule(d, pair_map, rule):
     )
     report = validate_h(tampered)
     assert not report.valid
-    assert report.underlying is None
     assert any(rule in msg for msg in report.failures), report.failures
+    # a broken pair structure skips the girth rule
+    assert not any("underlying graph" in msg for msg in report.failures)
     # only pairs of two valid non-D vertices are tested for an edge inside:
     # (0, 4) is an edge of D-vertex 0, not a supplementary edge
     assert not any("inside pair" in msg for msg in report.failures)
@@ -326,6 +326,22 @@ def test_ring_scan_matches_local_graphs_missing_one_pair_edge(monkeypatch):
         pairs = range(g.n // 2)
         missing = [s for s in pairs if not g.has_edge(2 * s, 2 * s + 1)]
         assert g.n % 2 == 0 and len(missing) == 1
+
+
+@pytest.mark.parametrize(
+    "mate, message",
+    [
+        # the walk's first exit vertex is exposed
+        ((None,) * 6, "leaves vertex 4 unmatched"),
+        # exit 0 -> entry 2, exit 3 -> entry 0: back at the broken pair,
+        # but at the vertex the walk left from, not at its partner
+        ((2, None, 0, 0, None, None), "closes at 4, not at the broken pair's 5"),
+    ],
+)
+def test_trace_ring_rejects_tables_that_are_no_ring(mate, message):
+    keys = [(0, 1), (0, 2), (0, 3)]
+    with pytest.raises(RuntimeError, match=message):
+        recognition._trace_ring(0, keys, 0, [4, 5, 6, 7, 8, 9], mate)
 
 
 def test_recognize_h_outputs_are_pinned():

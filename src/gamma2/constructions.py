@@ -135,11 +135,13 @@ def build(spec: ConstructionSpec) -> PartitionedInstance:
                 f"supplementary neighbourhood {sorted(ys)} has size < 2",
             )
         for v in ys:
-            if not 0 <= v < d:
+            if type(v) is not int or not 0 <= v < d:
+                # No sorted(ys) here: members that are not ints may not
+                # compare with each other.
                 raise ConstructionError(
                     "y-neighbourhood-domain",
-                    f"supplementary neighbourhood {sorted(ys)} leaves D "
-                    f"(vertex {v})",
+                    f"supplementary neighbourhood member {v!r} is not a "
+                    f"D-vertex (0..{d - 1})",
                 )
         for u, v in combinations(sorted(ys), 2):
             if not f.has_edge(u, v):
@@ -151,6 +153,14 @@ def build(spec: ConstructionSpec) -> PartitionedInstance:
                 )
 
     for u, v in spec.supp_edges:
+        for w in (u, v):
+            # The vertex rule of from_edges: an int, never 3.0 or True.
+            if type(w) is not int or not 0 <= w < n_total:
+                raise ConstructionError(
+                    "supp-edge-range",
+                    f"supplementary edge ({u!r}, {v!r}) references vertex "
+                    f"{w!r} outside the construction (n = {n_total})",
+                )
         if u == v:
             raise ConstructionError(
                 "supp-edge-loop", f"supplementary edge ({u}, {v}) is a loop"
@@ -162,12 +172,6 @@ def build(spec: ConstructionSpec) -> PartitionedInstance:
                     f"supplementary edge ({u}, {v}) touches D-vertex {w}; "
                     f"edges must stay inside the subdivision/supplementary "
                     f"vertices",
-                )
-            if w >= n_total:
-                raise ConstructionError(
-                    "supp-edge-range",
-                    f"supplementary edge ({u}, {v}) references vertex {w} "
-                    f"outside the construction (n = {n_total})",
                 )
         if u < n_pairs_end and v < n_pairs_end and (u - d) // 2 == (v - d) // 2:
             raise ConstructionError(

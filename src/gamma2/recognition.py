@@ -51,8 +51,11 @@ class HValidationReport:
     """Outcome of :func:`validate_h`: ``failures`` lists every violated
     rule, and ``valid`` is True iff there is none."""
 
-    valid: bool
     failures: tuple[str, ...]
+
+    @property
+    def valid(self) -> bool:
+        return not self.failures
 
 
 class InvalidHInstanceError(ValueError):
@@ -80,7 +83,7 @@ def validate_h(inst: PartitionedInstance) -> HValidationReport:
     try:
         checked_vertices(g, d)
     except ValueError as exc:  # "vertex v outside 0..n-1"
-        return HValidationReport(False, (f"D-{exc}",))
+        return HValidationReport((f"D-{exc}",))
 
     for u in sorted(d):
         for w in g.neighbors(u):
@@ -145,7 +148,7 @@ def validate_h(inst: PartitionedInstance) -> HValidationReport:
         elif girth == 4:
             failures.append("underlying graph contains a 4-cycle")
 
-    return HValidationReport(not failures, tuple(failures))
+    return HValidationReport(tuple(failures))
 
 
 def extract_underlying(g: Graph, d: frozenset[int]) -> Graph:

@@ -8,11 +8,14 @@ through ``gamma_k_masks``, which ``perfect_oracle`` also calls on vertex
 subsets: components are found by flood fill on the masks, and no
 ``Graph`` is built per component or per subset.  Each component gets a
 branch-and-bound search.  It starts from a greedy upper bound,
-propagates forced choices at each node, and prunes with two lower
-bounds: needy vertices with pairwise disjoint option pools, and the
-counting bound: one more vertex meets at most (max degree + k) units of
-outstanding need, which gives gamma_k >= kn / (max degree + k) at the
-root (Fink and Jacobson 1985).
+propagates forced choices at each node, and prunes with three lower
+bounds.  The completion lookahead runs only where at most two more
+picks could still beat the incumbent: it prunes when no single
+undecided vertex finishes every needy vertex and, with two picks left,
+no pair does either.  Then come needy vertices with pairwise disjoint
+option pools, and the counting bound: one more vertex meets at most
+(max degree + k) units of outstanding need, which gives
+gamma_k >= kn / (max degree + k) at the root (Fink and Jacobson 1985).
 Each node carries coverage levels, bit masks of the vertices with more
 than j chosen neighbours for j below min(k, max degree + 1), so a node
 visits only its still-needy vertices, not all n, and adding a vertex
@@ -140,6 +143,15 @@ def _solve_component(adj: Sequence[int], k: int) -> tuple[int, int]:
     still-needy vertices outside ``chosen | levels[-1]``, in ascending
     order, and gathers their needs, option pools and the branch vertex in
     that one pass.
+
+    A node that propagation leaves unfinished meets three lower bounds in
+    turn: the completion lookahead (only where ``size + 3 >= best``: the
+    node needs two more picks when no undecided vertex is in the one-pick
+    set of every needy vertex, and three when, besides, no pair through
+    the smallest pool finishes it; see ``_pair_finishes``), the disjoint
+    option pools, and the counting bound.  Each is a pure lower bound and
+    the branch order depends only on vertex indices, so the bounds change
+    how many nodes are searched, never which optimum and witness come out.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -175,6 +187,14 @@ def _solve_component(adj: Sequence[int], k: int) -> tuple[int, int]:
         branch_options = 0
         # (pool size, v, need the pool must meet, options)
         pools: list[tuple[int, int, int, int]] = []
+        # The one-pick set of a needy v: its undecided neighbours if it
+        # needs one more, plus v itself unless excluded.  Only near the
+        # incumbent, where at most two more picks could beat it, does the
+        # pass AND these sets and keep each (bit, need, options) for the
+        # pair test.
+        near = size + 3 >= best
+        one = full
+        rows: list[tuple[int, int, int]] = []
         rest = needy
         while rest:
             bit = rest & -rest
@@ -203,12 +223,22 @@ def _solve_component(adj: Sequence[int], k: int) -> tuple[int, int]:
             if avail - need < slack:
                 slack, branch_options = avail - need, options
             pools.append((avail, v, pool_need, options))
+            if near:
+                one &= options if need == 1 else bit & ~excluded
+                rows.append((bit, need, options))
         if forced:
             stack.append((chosen | forced, excluded, levels, forced))
             continue
         if not needy:
             best = size
             best_mask = chosen
+            continue
+
+        # Completion lookahead: no single pick finishes the node, and with
+        # two picks left no pair does either.
+        if near and not one and (
+            size + 2 >= best or not _pair_finishes(adj, rows, min(pools)[3], excluded)
+        ):
             continue
 
         # Lower bound: needy vertices with pairwise disjoint option
@@ -238,6 +268,36 @@ def _solve_component(adj: Sequence[int], k: int) -> tuple[int, int]:
         stack.append((chosen, excluded | bit, levels, 0))
         stack.append((chosen | bit, excluded, levels, bit))
     return best, best_mask
+
+
+def _pair_finishes(
+    adj: Sequence[int], rows: list[tuple[int, int, int]], pool: int, excluded: int
+) -> bool:
+    """True iff two undecided picks can finish every needy vertex.
+
+    ``rows`` holds (bit, need, options) of each needy vertex, with the
+    vertex itself among its options unless it is excluded.  Any finishing
+    pair has a member a in ``pool``, an option pool of one needy vertex.
+    After a, a vertex w still needing one more is finished by any other
+    option of w; one needing more only by picking w itself.
+    """
+    for a in _bit_list(pool):
+        abit = 1 << a
+        nbrs = adj[a]
+        left = -1  # the picks that finish every vertex a leaves needy
+        for bit, need, options in rows:
+            if bit == abit:
+                continue
+            if nbrs & bit:
+                need -= 1
+                if not need:
+                    continue
+            left &= options & ~abit if need == 1 else bit & ~excluded
+            if not left:
+                break
+        else:
+            return True
+    return False
 
 
 def gamma_k_masks(adj: Sequence[int], within: int, k: int) -> tuple[int, int]:

@@ -110,6 +110,14 @@ def test_build_supplementary_vertex_rules():
         build(ConstructionSpec(path(3), y_specs=(frozenset({0, 5}),)))
     assert err.value.rule == "y-neighbourhood-domain"
 
+    # True is not vertex 1: the domain rule fires before the clique rule
+    with pytest.raises(ConstructionError) as err:
+        build(ConstructionSpec(path(3), y_specs=(frozenset({True, 0}),)))
+    assert err.value.rule == "y-neighbourhood-domain"
+    with pytest.raises(ConstructionError) as err:
+        build(ConstructionSpec(path(3), y_specs=(frozenset({"a", 0}),)))
+    assert err.value.rule == "y-neighbourhood-domain"
+
 
 def test_build_supplementary_edge_rules():
     f = path(3)
@@ -124,6 +132,13 @@ def test_build_supplementary_edge_rules():
     # out of range
     with pytest.raises(ConstructionError) as err:
         build(ConstructionSpec(f, supp_edges=((3, 99),)))
+    assert err.value.rule == "supp-edge-range"
+    # a float endpoint is not a vertex, whatever its value
+    with pytest.raises(ConstructionError) as err:
+        build(ConstructionSpec(f, supp_edges=((3.0, 5),)))
+    assert err.value.rule == "supp-edge-range"
+    with pytest.raises(ConstructionError) as err:
+        build(ConstructionSpec(f, supp_edges=((3, True),)))
     assert err.value.rule == "supp-edge-range"
     # loop
     with pytest.raises(ConstructionError) as err:

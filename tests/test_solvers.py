@@ -44,6 +44,16 @@ from gamma2.verify import (
     random_formula,
 )
 
+#: The eight clauses over variables 1, 2, 3, one per sign pattern: every
+#: assignment falsifies exactly one of them.
+ALL_SIGN_PATTERNS_3 = CnfFormula(
+    3,
+    tuple(
+        tuple(v if s else -v for v, s in zip((1, 2, 3), signs))
+        for signs in product((True, False), repeat=3)
+    ),
+)
+
 
 def test_is_k_dominating_basics():
     g = cycle(4)
@@ -215,6 +225,28 @@ def test_witnesses_are_pinned_on_3sat_reductions():
     )
 
 
+def test_branch_and_bound_agrees_with_bruteforce_on_small_3sat_reductions():
+    # Every reduction graph of at most 22 vertices from 3- and 4-variable
+    # formulas (3v + l + 3 vertices for l clauses).  The budgets are tight
+    # there, so the last one or two picks of a node decide the outcome
+    # and the completion lookahead prunes most of the search.
+    rng = random.Random("small 3-SAT reductions")
+    formulas = [ALL_SIGN_PATTERNS_3]
+    formulas += [
+        random_formula(rng, v, m)
+        for v in (3, 4) for m in range(1, BRUTE_FORCE_VERTEX_LIMIT - 3 * v - 2)
+        for _ in range(2)
+    ]
+    graphs = [reduce_3sat(f).instance.g for f in formulas]
+    assert graphs[0].n == 20 and max(g.n for g in graphs) == BRUTE_FORCE_VERTEX_LIMIT
+    for g in graphs:
+        for k in (1, 2):
+            fast = gamma_k(g, k)
+            assert fast.number == gamma_k_bruteforce(g, k).number
+            assert is_k_dominating(g, fast.witness, k)
+            assert len(fast.witness) == fast.number
+
+
 def _many_part_graph(rng, parts, isolated):
     """Random trees and small G(n, p) parts plus isolated vertices, as one
     disjoint union under a random labelling (like the bench ``forest``)."""
@@ -352,11 +384,7 @@ def test_cnf_satisfiable_finds_assignment():
 
 
 def test_cnf_unsatisfiable_all_sign_patterns():
-    clauses = tuple(
-        tuple(v if s else -v for v, s in zip((1, 2, 3), signs))
-        for signs in product((True, False), repeat=3)
-    )
-    assert cnf_satisfiable(CnfFormula(3, clauses)) is None
+    assert cnf_satisfiable(ALL_SIGN_PATTERNS_3) is None
 
 
 def test_cnf_variable_limit():

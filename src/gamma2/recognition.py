@@ -35,7 +35,7 @@ from .graph import (
     short_cycle,
 )
 from .matching import maximum_matching
-from .solvers import gamma_k_masks
+from .solvers import gamma_eq_gamma2_masks
 
 FORBIDDEN_CHECK_VERTEX_LIMIT = 14
 PERFECT_ORACLE_VERTEX_LIMIT = 13
@@ -522,8 +522,10 @@ def perfect_oracle(g: Graph) -> bool:
     has equal domination and 2-domination numbers.  At most
     ``PERFECT_ORACLE_VERTEX_LIMIT`` vertices.
 
-    Each subset of minimum degree >= 2 is solved on the host's adjacency
-    masks, with no induced ``Graph`` per subset.
+    Each subset of minimum degree >= 2 is decided on the host's adjacency
+    masks by ``gamma_eq_gamma2_masks``, with no induced ``Graph`` per
+    subset: an exact gamma per component, then a 2-domination search
+    capped at it that stops at its first set.
     """
     check_size("perfect_oracle", g.n, PERFECT_ORACLE_VERTEX_LIMIT)
     masks = g.adjacency_masks()
@@ -540,7 +542,6 @@ def perfect_oracle(g: Graph) -> bool:
                 break
         if not ok:
             continue
-        gamma = gamma_k_masks(masks, subset, 1)[0]
-        if gamma_k_masks(masks, subset, 2)[0] != gamma:
+        if not gamma_eq_gamma2_masks(masks, subset):
             return False
     return True

@@ -4,9 +4,8 @@ A set D is k-dominating when every vertex outside D has at least k
 neighbours inside D; gamma_k is the minimum size of such a set.
 
 ``gamma_k`` works on the graph's adjacency bitmasks from start to finish
-through ``gamma_k_masks``, which ``perfect_oracle`` also calls on vertex
-subsets: components are found by flood fill on the masks, and no
-``Graph`` is built per component or per subset.  Each component gets a
+through ``gamma_k_masks``: components are found by flood fill on the
+masks, and no ``Graph`` is built per component.  Each component gets a
 branch-and-bound search.  It starts from a greedy upper bound,
 propagates forced choices at each node, and prunes with three lower
 bounds.  The completion lookahead runs only where at most two more
@@ -27,6 +26,15 @@ tens of milliseconds.  The search is one loop over an explicit stack, so
 its depth does not depend on the interpreter's recursion limit.
 ``gamma_k_bruteforce`` enumerates subsets by increasing size and is the
 independent oracle used to validate it on small graphs.
+
+Where only the verdict gamma = gamma_2 is read (``is_gamma_gamma2_graph``,
+and ``perfect_oracle`` on each vertex subset), ``gamma_eq_gamma2_masks``
+decides it over the same components without computing gamma_2: after the
+exact gamma(C), the k = 2 search starts from the incumbent gamma(C) + 1
+instead of the greedy set and stops at the first 2-dominating set of
+gamma(C) vertices.  gamma_2 >= gamma, so that set exists iff they are
+equal.  Every lower bound holds for any incumbent, so the verdict is
+the one the two optima give.
 """
 
 from __future__ import annotations
@@ -127,10 +135,16 @@ def _bit_list(mask: int) -> list[int]:
     return bits
 
 
-def _solve_component(adj: Sequence[int], k: int) -> tuple[int, int]:
+def _solve_component(
+    adj: Sequence[int], k: int, cap: Optional[int] = None
+) -> tuple[int, int]:
     """Minimum k-dominating set of one component given bitmask adjacency.
 
-    Returns (size, chosen_mask).  The search is deterministic: branch
+    Returns (size, chosen_mask).  With ``cap`` the search answers a
+    decision instead: it starts from the incumbent ``cap + 1`` rather than
+    the greedy set and returns the first k-dominating set it reaches, which
+    has at most ``cap`` vertices, or (cap + 1, 0) when there is none.
+    The search is deterministic: branch
     vertices and propagation order depend only on vertex indices.  Search
     nodes sit on one explicit stack as (chosen, excluded, levels, added).
     ``levels`` is a bit-sliced count of chosen neighbours: ``levels[j]``
@@ -155,8 +169,11 @@ def _solve_component(adj: Sequence[int], k: int) -> tuple[int, int]:
     """
     n = len(adj)
     full = (1 << n) - 1
-    best_mask = _greedy_cover_mask(adj, k)
-    best = best_mask.bit_count()
+    if cap is None:
+        best_mask = _greedy_cover_mask(adj, k)
+        best = best_mask.bit_count()
+    else:
+        best, best_mask = cap + 1, 0
     degree = max(mask.bit_count() for mask in adj)
     # One more vertex u in D meets at most deg(u) + k units of need.
     reach = degree + k
@@ -230,6 +247,8 @@ def _solve_component(adj: Sequence[int], k: int) -> tuple[int, int]:
             stack.append((chosen | forced, excluded, levels, forced))
             continue
         if not needy:
+            if cap is not None:
+                return size, chosen
             best = size
             best_mask = chosen
             continue
@@ -300,18 +319,18 @@ def _pair_finishes(
     return False
 
 
-def gamma_k_masks(adj: Sequence[int], within: int, k: int) -> tuple[int, int]:
-    """gamma_k of the subgraph induced on the vertex mask ``within``.
+def _components(
+    adj: Sequence[int], within: int
+) -> Iterator[tuple[Optional[list[int]], Sequence[int]]]:
+    """Each component of the subgraph induced on the vertex mask ``within``.
 
-    ``adj`` is the bitmask adjacency of the host graph, and the returned
-    witness is a vertex mask in the host's labels.  Components are found
-    by flood fill on the masks.  A component that is the whole host is
-    solved on ``adj`` itself; any other is relabelled to 0..|C|-1 in
-    ascending vertex order, the numbering ``induced_subgraph`` gives.
-    ``k`` must already be valid: ``gamma_k`` checks it.
+    Yields (vertices, rows): the component's vertices in ascending order
+    and its bitmask adjacency relabelled to 0..|C|-1 in that order, the
+    numbering ``induced_subgraph`` gives.  Components are found by flood
+    fill on the masks.  A component that is the whole host comes as
+    (None, adj): ``adj`` itself, in the host's labels, not relabelled.
     """
     full = (1 << len(adj)) - 1
-    total = witness = 0
     rest = within
     while rest:
         comp = frontier = rest & -rest
@@ -325,7 +344,8 @@ def gamma_k_masks(adj: Sequence[int], within: int, k: int) -> tuple[int, int]:
             comp |= frontier
         rest ^= comp
         if comp == full:
-            return _solve_component(adj, k)
+            yield None, adj
+            return
         vertices = _bit_list(comp)
         label = {1 << v: 1 << i for i, v in enumerate(vertices)}  # host bit
         sub = []
@@ -337,11 +357,42 @@ def gamma_k_masks(adj: Sequence[int], within: int, k: int) -> tuple[int, int]:
                 row |= label[low]
                 nbrs ^= low
             sub.append(row)
+        yield vertices, sub
+
+
+def gamma_k_masks(adj: Sequence[int], within: int, k: int) -> tuple[int, int]:
+    """gamma_k of the subgraph induced on the vertex mask ``within``.
+
+    ``adj`` is the bitmask adjacency of the host graph, and the returned
+    witness is a vertex mask in the host's labels.  Each component from
+    ``_components`` is solved on its own.  ``k`` must already be valid:
+    ``gamma_k`` checks it.
+    """
+    total = witness = 0
+    for vertices, sub in _components(adj, within):
         size, mask = _solve_component(sub, k)
+        if vertices is None:
+            return size, mask
         total += size
         for i in _bit_list(mask):
             witness |= 1 << vertices[i]
     return total, witness
+
+
+def gamma_eq_gamma2_masks(adj: Sequence[int], within: int) -> bool:
+    """Whether gamma = gamma_2 on the subgraph induced on ``within``.
+
+    Decided per component from ``_components``: gamma(C) is solved
+    exactly, then a search at k = 2 capped at gamma(C) asks only whether
+    some 2-dominating set of gamma(C) vertices exists.  gamma_2(C) >=
+    gamma(C) on every component, so the numbers are equal iff every
+    component has one.
+    """
+    for _, sub in _components(adj, within):
+        gamma = _solve_component(sub, 1)[0]
+        if _solve_component(sub, 2, gamma)[0] > gamma:
+            return False
+    return True
 
 
 def gamma_k(g: Graph, k: int) -> DominationResult:
@@ -403,9 +454,14 @@ def gamma_and_gamma2(g: Graph) -> tuple[int, int]:
 
 
 def is_gamma_gamma2_graph(g: Graph) -> bool:
-    """Definitional test for gamma(g) == gamma_2(g) (small graphs only)."""
-    gamma, gamma2 = gamma_and_gamma2(g)
-    return gamma == gamma2
+    """Definitional test for gamma(g) == gamma_2(g) (small graphs only).
+
+    Guarded like ``gamma_and_gamma2``, then decided by
+    ``gamma_eq_gamma2_masks``: one exact gamma solve and one capped
+    2-domination search per component, not two optima.
+    """
+    check_size("is_gamma_gamma2_graph", g.n, BRUTE_FORCE_VERTEX_LIMIT)
+    return gamma_eq_gamma2_masks(g.adjacency_masks(), (1 << g.n) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,10 @@ class VerifyReport:
             )
             if c.counterexample:
                 lines.append(f"  counterexample:\n{c.counterexample}")
-        lines.append("verify: " + ("all checks passed" if self.ok else "FAILED"))
+        if not any(c.instances for c in self.checks):
+            lines.append("verify: no instance was checked")
+        else:
+            lines.append("verify: " + ("all checks passed" if self.ok else "FAILED"))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:

@@ -267,6 +267,13 @@ def test_verify_text_and_json(capsys):
     assert len(doc["checks"]) == 11
 
 
+def test_verify_zero_budget_says_nothing_was_checked(capsys):
+    assert main(["verify", "--budget", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out == "verify: no instance was checked\n"
+    assert "all checks passed" not in out
+
+
 def test_verify_scope_filters(capsys):
     assert main(["verify", "--scope", "matching", "--budget", "3"]) == 0
     out = capsys.readouterr().out

@@ -6,7 +6,7 @@ import sys
 import time
 import traceback
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +35,9 @@ from gamma2.graph import components
 from gamma2.solvers import (
     BRUTE_FORCE_VERTEX_LIMIT,
     SAT_VARIABLE_LIMIT,
+    _bit_is_k_dominating,
     _greedy_cover_mask,
+    _solve_component,
 )
 from gamma2.verify import (
     UNSAT_COVERED_6,
@@ -336,6 +338,62 @@ def test_gamma_gamma2_graph_examples():
     assert is_gamma_gamma2_graph(cycle(4))
     assert not is_gamma_gamma2_graph(cycle(5))
     assert not is_gamma_gamma2_graph(complete(4))
+
+
+def _all_labelled_graphs(max_n):
+    """Every graph on 0..n-1 for each n <= ``max_n``."""
+    for n in range(max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            yield from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+def _decision_graphs():
+    """Every labelled graph with n <= 5, then seeded G(n, p), n = 6..12."""
+    yield from _all_labelled_graphs(5)
+    for n in range(6, 13):
+        for p in (0.15, 0.3, 0.5):
+            for seed in range(3):
+                yield _seeded_graph(n, p, 1000 * n + seed)
+
+
+def _cycles(*lengths):
+    edges = []
+    start = 0
+    for n in lengths:
+        edges += [(start + i, start + (i + 1) % n) for i in range(n)]
+        start += n
+    return from_edges(start, edges)
+
+
+def test_gamma_eq_gamma2_decision_matches_bruteforce():
+    disconnected = 0
+    for g in _decision_graphs():
+        expected = gamma_k_bruteforce(g, 1).number == gamma_k_bruteforce(g, 2).number
+        assert is_gamma_gamma2_graph(g) == expected, g.edge_list()
+        disconnected += g.n > 5 and len(components(g)) > 1
+    assert disconnected >= 10  # the seeded draws reach the per-component path
+    assert is_gamma_gamma2_graph(from_edges(0, []))
+    assert is_gamma_gamma2_graph(from_edges(1, []))
+    assert not is_gamma_gamma2_graph(path(2))
+    assert is_gamma_gamma2_graph(_cycles(4, 4))
+    assert not is_gamma_gamma2_graph(_cycles(4, 5))
+
+
+def test_capped_search_answers_whether_gamma_k_is_at_most_the_cap():
+    for g in _decision_graphs():
+        if g.n == 0:
+            continue
+        adj = g.adjacency_masks()
+        for k in (1, 2):
+            optimum = gamma_k_bruteforce(g, k).number
+            for cap in range(g.n + 1):
+                size, mask = _solve_component(adj, k, cap)
+                if optimum <= cap:
+                    assert _bit_is_k_dominating(adj, mask, g.n, k)
+                    assert size == mask.bit_count() <= cap
+                else:
+                    assert (size, mask) == (cap + 1, 0)
 
 
 def test_gamma_k_requires_positive_k():

@@ -207,7 +207,21 @@ def components(g: Graph) -> list[list[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) == 1
+    """True iff ``g`` has exactly one component, so the empty graph is not
+    connected.  One flood fill from vertex 0 on the adjacency masks."""
+    if not g.n:
+        return False
+    masks = g.adjacency_masks()
+    comp = frontier = 1
+    while frontier:
+        reach = 0  # neighbours of the last layer, one bit at a time
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~comp
+        comp |= frontier
+    return comp == (1 << g.n) - 1
 
 
 def short_cycle(g: Graph) -> Optional[int]:

@@ -8,13 +8,13 @@ through ``gamma_k_masks``: components are found by flood fill on the
 masks, and no ``Graph`` is built per component.  Each component gets a
 branch-and-bound search.  It starts from a greedy upper bound,
 propagates forced choices at each node, and prunes with three lower
-bounds.  The completion lookahead runs only where at most two more
-picks could still beat the incumbent: it prunes when no single
-undecided vertex finishes every needy vertex and, with two picks left,
-no pair does either.  Then come needy vertices with pairwise disjoint
-option pools, and the counting bound: one more vertex meets at most
-(max degree + k) units of outstanding need, which gives
-gamma_k >= kn / (max degree + k) at the root (Fink and Jacobson 1985).
+bounds.  First come needy vertices with pairwise disjoint option pools,
+and the counting bound: one more vertex meets at most (max degree + k)
+units of outstanding need, which gives gamma_k >= kn / (max degree + k)
+at the root (Fink and Jacobson 1985).  Then the completion lookahead,
+which runs only where at most t <= ``_LOOKAHEAD`` more picks could still
+beat the incumbent: it prunes when no set of at most t undecided
+vertices finishes every needy vertex (``_picks_finish``).
 Each node carries coverage levels, bit masks of the vertices with more
 than j chosen neighbours for j below min(k, max degree + 1), so a node
 visits only its still-needy vertices, not all n, and adding a vertex
@@ -47,6 +47,10 @@ from .graph import Graph, check_int, check_size, checked_vertices
 
 BRUTE_FORCE_VERTEX_LIMIT = 22
 SAT_VARIABLE_LIMIT = 20
+#: Picks left up to which a search node meets the completion lookahead.
+#: At depth 5 the 3-SAT reductions searched fewer nodes but were no faster:
+#: the test's own cost grows by a factor of the pool size per level.
+_LOOKAHEAD = 4
 
 
 @dataclass(frozen=True)
@@ -159,13 +163,14 @@ def _solve_component(
     that one pass.
 
     A node that propagation leaves unfinished meets three lower bounds in
-    turn: the completion lookahead (only where ``size + 3 >= best``: the
-    node needs two more picks when no undecided vertex is in the one-pick
-    set of every needy vertex, and three when, besides, no pair through
-    the smallest pool finishes it; see ``_pair_finishes``), the disjoint
-    option pools, and the counting bound.  Each is a pure lower bound and
-    the branch order depends only on vertex indices, so the bounds change
-    how many nodes are searched, never which optimum and witness come out.
+    turn: the disjoint option pools, the counting bound, and the
+    completion lookahead.  The last runs only where t = best - 1 - size
+    picks left is at most ``_LOOKAHEAD``: the pass ANDs the one-pick sets
+    of the needy vertices, and when no single vertex finishes the node,
+    ``_picks_finish`` asks whether at most t do.  Each is a pure lower
+    bound and the branch order depends only on vertex indices, so the
+    bounds change how many nodes are searched, never which optimum and
+    witness come out.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -202,16 +207,15 @@ def _solve_component(
         outstanding = 0
         slack = n  # exceeds every pool size minus need
         branch_options = 0
-        # (pool size, v, need the pool must meet, options)
-        pools: list[tuple[int, int, int, int]] = []
+        # (pool size, v, need the pool must meet, options, need)
+        pools: list[tuple[int, int, int, int, int]] = []
         # The one-pick set of a needy v: its undecided neighbours if it
         # needs one more, plus v itself unless excluded.  Only near the
-        # incumbent, where at most two more picks could beat it, does the
-        # pass AND these sets and keep each (bit, need, options) for the
-        # pair test.
-        near = size + 3 >= best
+        # incumbent, where at most ``_LOOKAHEAD`` more picks could beat it,
+        # does the pass AND these sets.
+        picks = best - 1 - size
+        near = picks <= _LOOKAHEAD
         one = full
-        rows: list[tuple[int, int, int]] = []
         rest = needy
         while rest:
             bit = rest & -rest
@@ -239,10 +243,9 @@ def _solve_component(
             outstanding += need
             if avail - need < slack:
                 slack, branch_options = avail - need, options
-            pools.append((avail, v, pool_need, options))
+            pools.append((avail, v, pool_need, options, need))
             if near:
                 one &= options if need == 1 else bit & ~excluded
-                rows.append((bit, need, options))
         if forced:
             stack.append((chosen | forced, excluded, levels, forced))
             continue
@@ -253,19 +256,12 @@ def _solve_component(
             best_mask = chosen
             continue
 
-        # Completion lookahead: no single pick finishes the node, and with
-        # two picks left no pair does either.
-        if near and not one and (
-            size + 2 >= best or not _pair_finishes(adj, rows, min(pools)[3], excluded)
-        ):
-            continue
-
         # Lower bound: needy vertices with pairwise disjoint option
         # pools, smallest pools first, require that many separate
         # selections.
         bound = 0
         used = 0
-        for _, _, pool_need, options in sorted(pools):
+        for _, _, pool_need, options, _ in sorted(pools):
             if options & used:
                 continue
             used |= options
@@ -274,6 +270,20 @@ def _solve_component(
             continue
         # Counting bound: kn / (max degree + k) at the root.
         if size - (-outstanding // reach) >= best:
+            continue
+
+        # Completion lookahead: no set of at most ``picks`` undecided
+        # vertices finishes the node.
+        if near and not one and (
+            picks < 2
+            or not _picks_finish(
+                adj,
+                [(1 << v, need, options) for _, v, _, options, need in pools],
+                min(pools)[3],
+                excluded,
+                picks,
+            )
+        ):
             continue
 
         # Branch on the most constrained vertex's most useful option.
@@ -289,21 +299,34 @@ def _solve_component(
     return best, best_mask
 
 
-def _pair_finishes(
-    adj: Sequence[int], rows: list[tuple[int, int, int]], pool: int, excluded: int
+def _picks_finish(
+    adj: Sequence[int],
+    rows: list[tuple[int, int, int]],
+    pool: int,
+    excluded: int,
+    picks: int,
 ) -> bool:
-    """True iff two undecided picks can finish every needy vertex.
+    """True iff at most ``picks`` (>= 2) undecided vertices finish every
+    needy vertex.
 
     ``rows`` holds (bit, need, options) of each needy vertex, with the
     vertex itself among its options unless it is excluded.  Any finishing
-    pair has a member a in ``pool``, an option pool of one needy vertex.
+    set has a member in ``pool``, the options of one needy vertex, so each
+    member a is tried in turn, with the members tried before it excluded.
     After a, a vertex w still needing one more is finished by any other
-    option of w; one needing more only by picking w itself.
+    option of w, one needing more only by picking w itself; with one pick
+    left these one-pick sets must meet, otherwise the test recurses on the
+    smallest pool that a leaves.
     """
+    last = picks == 2
+    tried = 0
     for a in _bit_list(pool):
         abit = 1 << a
         nbrs = adj[a]
-        left = -1  # the picks that finish every vertex a leaves needy
+        banned = excluded | tried
+        keep = ~(tried | abit)
+        one = -1  # the single picks that finish every vertex a leaves needy
+        left = []
         for bit, need, options in rows:
             if bit == abit:
                 continue
@@ -311,11 +334,26 @@ def _pair_finishes(
                 need -= 1
                 if not need:
                     continue
-            left &= options & ~abit if need == 1 else bit & ~excluded
-            if not left:
-                break
+            options &= keep
+            one &= options if need == 1 else bit & ~banned
+            if last:
+                if not one:
+                    break
+            else:
+                left.append((bit, need, options))
         else:
-            return True
+            if one or (
+                not last
+                and _picks_finish(
+                    adj,
+                    left,
+                    min([row[2] for row in left], key=int.bit_count),
+                    banned,
+                    picks - 1,
+                )
+            ):
+                return True
+        tried |= abit
     return False
 
 

@@ -161,6 +161,19 @@ def test_components_partition():
     assert is_connected(cycle(4))
 
 
+def test_is_connected_agrees_with_components():
+    rng = random.Random("is_connected")
+    graphs = [from_edges(n, []) for n in (0, 1, 2)] + [path(2)]
+    graphs += [
+        random_graph(rng, rng.randint(1, 14), rng.choice([0.05, 0.15, 0.3]))
+        for _ in range(300)
+    ]
+    connected = [is_connected(g) for g in graphs]
+    assert connected == [len(components(g)) == 1 for g in graphs]
+    assert connected[:4] == [False, True, False, True]
+    assert 50 < connected.count(True) < 250  # both answers are exercised
+
+
 @given(edge_lists())
 def test_components_cover_all_vertices(ne):
     n, edges = ne

@@ -33,10 +33,12 @@ from gamma2.constructions import (
 )
 from gamma2.graph import components
 from gamma2.solvers import (
+    _LOOKAHEAD,
     BRUTE_FORCE_VERTEX_LIMIT,
     SAT_VARIABLE_LIMIT,
     _bit_is_k_dominating,
     _greedy_cover_mask,
+    _picks_finish,
     _solve_component,
 )
 from gamma2.verify import (
@@ -184,6 +186,59 @@ def test_gamma_k_scales_on_long_cycles(n, k):
     assert time.perf_counter() - start < 5.0
 
 
+def _fewest_finishing_picks(adj, chosen, excluded, k, most):
+    """Fewest undecided vertices (at most ``most``) whose addition to
+    ``chosen`` k-dominates, by enumeration; None if more are needed."""
+    n = len(adj)
+    undecided = [1 << v for v in range(n) if not (chosen | excluded) >> v & 1]
+    for size in range(most + 1):
+        for picks in combinations(undecided, size):
+            if _bit_is_k_dominating(adj, chosen | sum(picks), n, k):
+                return size
+    return None
+
+
+def test_picks_finish_matches_enumeration():
+    # The completion lookahead's test, on random partial search states:
+    # the rows are built the way _solve_component builds them, and any
+    # needy vertex's option pool may serve as the first pool.
+    rng = random.Random("picks finish")
+    answers = set()
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        p = rng.choice([0.2, 0.35, 0.5])
+        adj = _seeded_graph(n, p, rng.randrange(2**32)).adjacency_masks()
+        chosen = excluded = 0
+        for v in range(n):
+            roll = rng.random()
+            if roll < 0.2:
+                chosen |= 1 << v
+            elif roll < 0.45:
+                excluded |= 1 << v
+        undecided = (1 << n) - 1 & ~chosen & ~excluded
+        for k in (1, 2, 3):
+            rows = []
+            for v in range(n):
+                bit = 1 << v
+                need = k - (adj[v] & chosen).bit_count()
+                if chosen & bit or need <= 0:
+                    continue
+                options = adj[v] & undecided | (0 if excluded & bit else bit)
+                rows.append((bit, need, options))
+            if not rows:
+                continue
+            fewest = _fewest_finishing_picks(adj, chosen, excluded, k, _LOOKAHEAD)
+            smallest = min((row[2] for row in rows), key=int.bit_count)
+            pools = (smallest, rng.choice(rows)[2])
+            for picks in range(2, _LOOKAHEAD + 1):
+                expected = fewest is not None and fewest <= picks
+                for pool in pools:
+                    answer = _picks_finish(adj, rows, pool, excluded, picks)
+                    assert answer == expected, (adj, chosen, excluded, k, picks, pool)
+                answers.add((picks, expected))
+    assert answers == {(t, e) for t in range(2, _LOOKAHEAD + 1) for e in (False, True)}
+
+
 def test_witnesses_are_pinned():
     # gamma_k's numbers and witnesses on a seeded corpus: a change that
     # alters any of them must update this digest and say so.
@@ -227,11 +282,9 @@ def test_witnesses_are_pinned_on_3sat_reductions():
     )
 
 
-def test_branch_and_bound_agrees_with_bruteforce_on_small_3sat_reductions():
-    # Every reduction graph of at most 22 vertices from 3- and 4-variable
-    # formulas (3v + l + 3 vertices for l clauses).  The budgets are tight
-    # there, so the last one or two picks of a node decide the outcome
-    # and the completion lookahead prunes most of the search.
+def _small_3sat_reductions():
+    """(variables, graph) of every reduction graph of at most 22 vertices
+    from 3- and 4-variable formulas (3v + l + 3 vertices for l clauses)."""
     rng = random.Random("small 3-SAT reductions")
     formulas = [ALL_SIGN_PATTERNS_3]
     formulas += [
@@ -239,9 +292,16 @@ def test_branch_and_bound_agrees_with_bruteforce_on_small_3sat_reductions():
         for v in (3, 4) for m in range(1, BRUTE_FORCE_VERTEX_LIMIT - 3 * v - 2)
         for _ in range(2)
     ]
-    graphs = [reduce_3sat(f).instance.g for f in formulas]
-    assert graphs[0].n == 20 and max(g.n for g in graphs) == BRUTE_FORCE_VERTEX_LIMIT
-    for g in graphs:
+    cases = [(f.num_vars, reduce_3sat(f).instance.g) for f in formulas]
+    assert cases[0][1].n == 20
+    assert max(g.n for _, g in cases) == BRUTE_FORCE_VERTEX_LIMIT
+    return cases
+
+
+def test_branch_and_bound_agrees_with_bruteforce_on_small_3sat_reductions():
+    # The budgets are tight there, so the last few picks of a node decide
+    # the outcome and the completion lookahead prunes most of the search.
+    for _, g in _small_3sat_reductions():
         for k in (1, 2):
             fast = gamma_k(g, k)
             assert fast.number == gamma_k_bruteforce(g, k).number
@@ -380,20 +440,31 @@ def test_gamma_eq_gamma2_decision_matches_bruteforce():
     assert not is_gamma_gamma2_graph(_cycles(4, 5))
 
 
+def _check_capped_search(g, k, caps):
+    adj = g.adjacency_masks()
+    optimum = gamma_k_bruteforce(g, k).number
+    for cap in caps:
+        size, mask = _solve_component(adj, k, cap)
+        if optimum <= cap:
+            assert _bit_is_k_dominating(adj, mask, g.n, k)
+            assert size == mask.bit_count() <= cap
+        else:
+            assert (size, mask) == (cap + 1, 0)
+
+
 def test_capped_search_answers_whether_gamma_k_is_at_most_the_cap():
     for g in _decision_graphs():
         if g.n == 0:
             continue
-        adj = g.adjacency_masks()
+        for k in (1, 2, 3):
+            _check_capped_search(g, k, range(g.n + 1))
+    # These reduction graphs have gamma = v + 1 and gamma_2 = v + 2 for v
+    # variables, so caps v..v + 2 fall below, at and above each optimum.
+    # A cap that close starts the search from an incumbent a few picks
+    # away, so the completion lookahead runs from the first node.
+    for v, g in _small_3sat_reductions():
         for k in (1, 2):
-            optimum = gamma_k_bruteforce(g, k).number
-            for cap in range(g.n + 1):
-                size, mask = _solve_component(adj, k, cap)
-                if optimum <= cap:
-                    assert _bit_is_k_dominating(adj, mask, g.n, k)
-                    assert size == mask.bit_count() <= cap
-                else:
-                    assert (size, mask) == (cap + 1, 0)
+            _check_capped_search(g, k, range(v, v + 3))
 
 
 def test_gamma_k_requires_positive_k():

@@ -216,6 +216,12 @@ def double_subdivision(f: Graph) -> PartitionedInstance:
 # ---------------------------------------------------------------------------
 
 
+def _ring(first: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Supplementary edges chaining the k subdivision pairs numbered from
+    ``first`` into a cycle: x_t^1 joins x_{t+1}^2, t + 1 taken mod k."""
+    return tuple((first + 2 * t, first + 2 * ((t + 1) % k) + 1) for t in range(k))
+
+
 def gadget_a(k: int) -> PartitionedInstance:
     """Ring gadget on a k-leaf star: the subdivision pairs of the star's
     edges are chained into a cycle by supplementary edges.
@@ -224,17 +230,12 @@ def gadget_a(k: int) -> PartitionedInstance:
     """
     check_int("ring gadget k", k, 2)
     f = star(k)
-    first = [f.n + 2 * t for t in range(k)]       # x_t^1 in canonical order
-    second = [f.n + 2 * t + 1 for t in range(k)]  # x_t^2
-    supp = tuple(
-        (first[t], second[(t + 1) % k]) for t in range(k)
-    )
-    inst = build(ConstructionSpec(f, supp_edges=supp))
+    inst = build(ConstructionSpec(f, supp_edges=_ring(f.n, k)))
     labels = {0: "v"}
     labels.update({i: f"w{i}" for i in range(1, k + 1)})
     for t in range(k):
-        labels[first[t]] = f"x_{t + 1}^1"
-        labels[second[t]] = f"x_{t + 1}^2"
+        labels[f.n + 2 * t] = f"x_{t + 1}^1"
+        labels[f.n + 2 * t + 1] = f"x_{t + 1}^2"
     return PartitionedInstance(inst.g, inst.d, inst.pair_map, labels)
 
 
@@ -257,10 +258,9 @@ def gadget_a4_star() -> PartitionedInstance:
     graph has girth below five (brute force puts gamma = gamma_2 = 5 here).
     """
     f = from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
-    first = [5 + 2 * t for t in range(4)]
-    second = [5 + 2 * t + 1 for t in range(4)]
-    supp = tuple((first[t], second[(t + 1) % 4]) for t in range(4))
-    return build(ConstructionSpec(f, supp_edges=supp))
+    # The star's edges come first in edge order, so its four pairs are
+    # numbered as in gadget_a(4) and take the same ring.
+    return build(ConstructionSpec(f, supp_edges=_ring(5, 4)))
 
 
 def gadget_s(multiplicities: Sequence[int]) -> PartitionedInstance:
@@ -279,15 +279,13 @@ def gadget_s(multiplicities: Sequence[int]) -> PartitionedInstance:
     inst = build(ConstructionSpec(f, y_specs=tuple(y_specs)))
     labels = {0: "v"}
     labels.update({j: f"v{j}" for j in range(1, k + 1)})
-    counters = {j: 2 for j in range(1, k + 1)}
     for (i, j), (x1, x2) in inst.pair_map.items():
         labels[x1] = f"x_{j}^1"
         labels[x2] = f"x_{j}^2"
     y = f.n + 2 * f.m
-    for j, m in enumerate(mults):
-        for _ in range(m - 2):
-            counters[j + 1] += 1
-            labels[y] = f"x_{j + 1}^{counters[j + 1]}"
+    for j, m in enumerate(mults, start=1):
+        for c in range(3, m + 1):
+            labels[y] = f"x_{j}^{c}"
             y += 1
     return PartitionedInstance(inst.g, inst.d, inst.pair_map, labels)
 

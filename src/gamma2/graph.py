@@ -8,7 +8,7 @@ and safe to share between threads.  All other modules build on this one.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 class Graph:
     """Immutable simple graph.
@@ -206,22 +206,30 @@ def components(g: Graph) -> list[list[int]]:
     return out
 
 
-def is_connected(g: Graph) -> bool:
-    """True iff ``g`` has exactly one component, so the empty graph is not
-    connected.  One flood fill from vertex 0 on the adjacency masks."""
-    if not g.n:
-        return False
-    masks = g.adjacency_masks()
-    comp = frontier = 1
+def flood(masks: Sequence[int], start: int, within: int) -> int:
+    """The vertex mask of the component of ``start`` in the subgraph
+    induced on the vertex mask ``within``, which must hold ``start``.
+
+    ``masks`` is a bitmask adjacency (``Graph.adjacency_masks``).  This is
+    the one flood fill on masks: it adds one layer of neighbours at a time.
+    """
+    comp = frontier = 1 << start
     while frontier:
         reach = 0  # neighbours of the last layer, one bit at a time
         while frontier:
             low = frontier & -frontier
             reach |= masks[low.bit_length() - 1]
             frontier ^= low
-        frontier = reach & ~comp
+        frontier = reach & within & ~comp
         comp |= frontier
-    return comp == (1 << g.n) - 1
+    return comp
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff ``g`` has exactly one component, so the empty graph is not
+    connected.  One ``flood`` from vertex 0."""
+    full = (1 << g.n) - 1
+    return g.n > 0 and flood(g.adjacency_masks(), 0, full) == full
 
 
 def short_cycle(g: Graph) -> Optional[int]:

@@ -3,10 +3,10 @@
 A set D is k-dominating when every vertex outside D has at least k
 neighbours inside D; gamma_k is the minimum size of such a set.
 
-``gamma_k`` works on the graph's adjacency bitmasks from start to finish
-through ``gamma_k_masks``: components are found by flood fill on the
-masks, and no ``Graph`` is built per component.  Each component gets a
-branch-and-bound search.  It starts from a greedy upper bound,
+``gamma_k`` works on the graph's adjacency bitmasks from start to finish:
+``_components`` finds the components with ``graph.flood``, the one flood
+fill on masks, and no ``Graph`` is built per component.  Each component
+gets a branch-and-bound search.  It starts from a greedy upper bound,
 propagates forced choices at each node, and prunes with three lower
 bounds.  First come needy vertices with pairwise disjoint option pools,
 and the counting bound: one more vertex meets at most (max degree + k)
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graph import Graph, check_int, check_size, checked_vertices
+from .graph import Graph, check_int, check_size, checked_vertices, flood
 
 BRUTE_FORCE_VERTEX_LIMIT = 22
 SAT_VARIABLE_LIMIT = 20
@@ -66,11 +66,11 @@ def is_k_dominating(g: Graph, s: Iterable[int], k: int) -> bool:
     """True iff every vertex outside ``s`` has >= k neighbours in ``s``."""
     check_int("k", k, 1)
     subset = sum(1 << v for v in checked_vertices(g, s))
-    return _bit_is_k_dominating(g.adjacency_masks(), subset, g.n, k)
+    return _bit_is_k_dominating(g.adjacency_masks(), subset, k)
 
 
-def _bit_is_k_dominating(masks: Sequence[int], subset: int, n: int, k: int) -> bool:
-    for v in range(n):
+def _bit_is_k_dominating(masks: Sequence[int], subset: int, k: int) -> bool:
+    for v in range(len(masks)):
         if subset >> v & 1:
             continue
         if (masks[v] & subset).bit_count() < k:
@@ -364,22 +364,15 @@ def _components(
 
     Yields (vertices, rows): the component's vertices in ascending order
     and its bitmask adjacency relabelled to 0..|C|-1 in that order, the
-    numbering ``induced_subgraph`` gives.  Components are found by flood
-    fill on the masks.  A component that is the whole host comes as
-    (None, adj): ``adj`` itself, in the host's labels, not relabelled.
+    numbering ``induced_subgraph`` gives.  Each component is one
+    ``flood`` from the lowest vertex left.  A component that is the whole
+    host comes as (None, adj): ``adj`` itself, in the host's labels, not
+    relabelled.
     """
     full = (1 << len(adj)) - 1
     rest = within
     while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            reach = 0  # neighbours of the last layer, one bit at a time
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & rest & ~comp
-            comp |= frontier
+        comp = flood(adj, (rest & -rest).bit_length() - 1, rest)
         rest ^= comp
         if comp == full:
             yield None, adj
@@ -396,25 +389,6 @@ def _components(
                 nbrs ^= low
             sub.append(row)
         yield vertices, sub
-
-
-def gamma_k_masks(adj: Sequence[int], within: int, k: int) -> tuple[int, int]:
-    """gamma_k of the subgraph induced on the vertex mask ``within``.
-
-    ``adj`` is the bitmask adjacency of the host graph, and the returned
-    witness is a vertex mask in the host's labels.  Each component from
-    ``_components`` is solved on its own.  ``k`` must already be valid:
-    ``gamma_k`` checks it.
-    """
-    total = witness = 0
-    for vertices, sub in _components(adj, within):
-        size, mask = _solve_component(sub, k)
-        if vertices is None:
-            return size, mask
-        total += size
-        for i in _bit_list(mask):
-            witness |= 1 << vertices[i]
-    return total, witness
 
 
 def gamma_eq_gamma2_masks(adj: Sequence[int], within: int) -> bool:
@@ -436,12 +410,19 @@ def gamma_eq_gamma2_masks(adj: Sequence[int], within: int) -> bool:
 def gamma_k(g: Graph, k: int) -> DominationResult:
     """Exact k-domination number with a deterministic witness.
 
-    Solved independently per connected component, found on the adjacency
-    masks (``gamma_k_masks``); the empty graph has gamma_k = 0.
+    Each component from ``_components`` is solved on its own, and its
+    witness is mapped back to ``g``'s labels; the empty graph has
+    gamma_k = 0.
     """
     check_int("k", k, 1)
-    number, witness = gamma_k_masks(g.adjacency_masks(), (1 << g.n) - 1, k)
-    return DominationResult(k, number, frozenset(_bit_list(witness)))
+    number = 0
+    witness: list[int] = []
+    for vertices, sub in _components(g.adjacency_masks(), (1 << g.n) - 1):
+        size, mask = _solve_component(sub, k)
+        number += size
+        chosen = _bit_list(mask)
+        witness += chosen if vertices is None else [vertices[i] for i in chosen]
+    return DominationResult(k, number, frozenset(witness))
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +444,7 @@ def _min_k_dominating(g: Graph, k: int, what: str) -> Iterator[frozenset[int]]:
     for size in range(g.n + 1):
         found = False
         for subset in map(sum, combinations(bits, size)):
-            if _bit_is_k_dominating(masks, subset, g.n, k):
+            if _bit_is_k_dominating(masks, subset, k):
                 found = True
                 yield frozenset(v for v in range(g.n) if subset >> v & 1)
         if found:

@@ -1,5 +1,7 @@
 """Builders: partitioned instances, gadgets, and the 3-SAT reduction."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from gamma2 import (
     reduce_3sat,
 )
 from gamma2.constructions import complete, cycle, path, petersen, star
+from gamma2.formats import instance_to_json
 from gamma2.recognition import validate_h
 
 
@@ -261,6 +264,22 @@ def test_gadget_s_rejects_multiplicity_below_two():
         gadget_s((2, 1))
     with pytest.raises(ValueError):
         gadget_s(())
+
+
+def test_gadget_json_is_pinned():
+    # Vertex numbering, edges, pairs and labels of every named gadget;
+    # recompute the digest only for a deliberate change of a gadget.
+    insts = [gadget_a(k) for k in range(2, 7)] + [gadget_a4_star(), gadget_b()]
+    insts += [
+        gadget_s(mults)
+        for mults in ([2], [3], [2, 2], [2, 3, 4], [5, 2, 3], [4] * 3, [2] * 6)
+    ]
+    digest = hashlib.sha256()
+    for inst in insts:
+        digest.update(instance_to_json(inst).encode())
+    assert digest.hexdigest() == (
+        "2fc6e23a9d69a94d85d9a16226a1f37b381d4af0de0fe863df3c5fabc3b8002a"
+    )
 
 
 def test_join_c4():

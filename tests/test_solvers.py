@@ -31,12 +31,13 @@ from gamma2.constructions import (
     reduce_3sat,
     star,
 )
-from gamma2.graph import components
+from gamma2.graph import components, flood, induced_subgraph
 from gamma2.solvers import (
     _LOOKAHEAD,
     BRUTE_FORCE_VERTEX_LIMIT,
     SAT_VARIABLE_LIMIT,
     _bit_is_k_dominating,
+    _components,
     _greedy_cover_mask,
     _picks_finish,
     _solve_component,
@@ -193,7 +194,7 @@ def _fewest_finishing_picks(adj, chosen, excluded, k, most):
     undecided = [1 << v for v in range(n) if not (chosen | excluded) >> v & 1]
     for size in range(most + 1):
         for picks in combinations(undecided, size):
-            if _bit_is_k_dominating(adj, chosen | sum(picks), n, k):
+            if _bit_is_k_dominating(adj, chosen | sum(picks), k):
                 return size
     return None
 
@@ -329,6 +330,44 @@ def _many_part_graph(rng, parts, isolated):
     return from_edges(n, [(label[u], label[v]) for u, v in edges])
 
 
+def test_flood_and_component_walk_agree_with_components_on_partial_masks():
+    # gamma_k walks the whole vertex set and perfect_oracle its subsets;
+    # both must see the components of the induced subgraph, relabelled as
+    # induced_subgraph numbers them, and the whole host only as (None, adj).
+    rng = random.Random("flood")
+    cases = [
+        (from_edges(0, []), 0),
+        (path(5), 0),
+        (from_edges(1, []), 1),
+        (from_edges(4, []), 0b1111),
+        (from_edges(6, [(0, 1), (1, 2), (4, 5)]), 0b111111),
+        (from_edges(6, [(0, 1), (1, 2), (4, 5)]), 0b101101),
+        (cycle(5), 0b11111),
+    ]
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 16), rng.choice([0.1, 0.2, 0.4]))
+        cases.append((g, rng.getrandbits(g.n)))
+        cases.append((g, (1 << g.n) - 1))
+    hosts = 0
+    for g, within in cases:
+        adj = g.adjacency_masks()
+        sub, mapping = induced_subgraph(g, [v for v in range(g.n) if within >> v & 1])
+        expected = [[mapping[i] for i in comp] for comp in components(sub)]
+        for comp in expected:
+            mask = sum(1 << v for v in comp)
+            assert all(flood(adj, v, within) == mask for v in comp)
+        walked = list(_components(adj, within))
+        if len(expected) == 1 and len(expected[0]) == g.n:
+            hosts += 1
+            assert len(walked) == 1 and walked[0][0] is None
+            assert walked[0][1] is adj
+            continue
+        assert [vertices for vertices, _ in walked] == expected
+        for vertices, rows in walked:
+            assert tuple(rows) == induced_subgraph(g, vertices)[0].adjacency_masks()
+    assert hosts > 50  # the whole-host fork is exercised, not only relabelling
+
+
 def test_witnesses_are_pinned_on_many_components():
     # Each component is relabelled and solved on its own; witnesses must
     # map back to the same host vertices.  Same rule as above for the digest.
@@ -446,7 +485,7 @@ def _check_capped_search(g, k, caps):
     for cap in caps:
         size, mask = _solve_component(adj, k, cap)
         if optimum <= cap:
-            assert _bit_is_k_dominating(adj, mask, g.n, k)
+            assert _bit_is_k_dominating(adj, mask, k)
             assert size == mask.bit_count() <= cap
         else:
             assert (size, mask) == (cap + 1, 0)

@@ -144,14 +144,11 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     if args.what == "h":
         inst = formats.parse_instance(_read(args.target))
         verdict = recognize_h(inst)
-        if verdict.equal:
-            print("EQUAL")
-            print(f"matching calls: {verdict.matching_calls}")
-            return 0
-        print("NOT-EQUAL")
-        print(verdict.witness.certificate())
+        print("EQUAL" if verdict.equal else "NOT-EQUAL")
+        if verdict.witness is not None:
+            print(verdict.witness.certificate())
         print(f"matching calls: {verdict.matching_calls}")
-        return 1
+        return 0 if verdict.equal else 1
     # perfect
     g = formats.parse_graph(_read(args.target))
     verdict = recognize_perfect(g)

@@ -227,9 +227,8 @@ def flood(masks: Sequence[int], start: int, within: int) -> int:
 
 def is_connected(g: Graph) -> bool:
     """True iff ``g`` has exactly one component, so the empty graph is not
-    connected.  One ``flood`` from vertex 0."""
-    full = (1 << g.n) - 1
-    return g.n > 0 and flood(g.adjacency_masks(), 0, full) == full
+    connected."""
+    return len(components(g)) == 1
 
 
 def short_cycle(g: Graph) -> Optional[int]:

@@ -164,6 +164,10 @@ def extract_underlying(g: Graph, d: frozenset[int]) -> Graph:
 # Witnesses
 # ---------------------------------------------------------------------------
 
+#: An obstruction as data: its D-vertices, its non-D vertices, and the
+#: edges it needs in the host graph.
+Pattern = tuple[list[int], list[int], list[tuple[int, int]]]
+
 
 @dataclass(frozen=True)
 class BWitness:
@@ -177,8 +181,14 @@ class BWitness:
     u2: int
     x2: tuple[int, int]
 
-    def vertices(self) -> tuple[int, ...]:
-        return (self.v1, self.u1, *self.x1, self.v2, self.u2, *self.x2)
+    def pattern(self) -> Pattern:
+        """D: the ends of both D-edges.  Not D: both pairs.  Edges: each
+        pair vertex to both ends of its D-edge, and the bridge
+        x1[0] -- x2[0]."""
+        sides = ((self.v1, self.u1, self.x1), (self.v2, self.u2, self.x2))
+        edges = [(a, x) for v, u, pair in sides for x in pair for a in (v, u)]
+        edges.append((self.x1[0], self.x2[0]))
+        return [self.v1, self.u1, self.v2, self.u2], [*self.x1, *self.x2], edges
 
     def certificate(self) -> str:
         """The ``certificate:`` line that ``gamma2 recognize h`` prints."""
@@ -197,11 +207,18 @@ class AWitness:
     center: int
     spokes: tuple[tuple[int, int, int], ...]
 
-    def vertices(self) -> tuple[int, ...]:
-        out = [self.center]
-        for w, x1, x2 in self.spokes:
-            out += [w, x1, x2]
-        return tuple(out)
+    def pattern(self) -> Pattern:
+        """D: the centre and the spoke ends.  Not D: the spoke pairs.
+        Edges: each pair vertex to the centre and to its spoke end, and
+        the ring x_{r-1}1 -- x_r2 (spoke -1 is the last)."""
+        c = self.center
+        ends, pairs, edges = [c], [], []
+        for r, (w, x1, x2) in enumerate(self.spokes):
+            ends.append(w)
+            pairs += [x1, x2]
+            edges += [(c, x1), (w, x1), (c, x2), (w, x2),
+                      (self.spokes[r - 1][1], x2)]
+        return ends, pairs, edges
 
     def certificate(self) -> str:
         """The ``certificate:`` line that ``gamma2 recognize h`` prints."""
@@ -213,40 +230,19 @@ Witness = Union[AWitness, BWitness]
 
 
 def check_witness(g: Graph, d: frozenset[int], witness: Witness) -> bool:
-    """Replay a witness: distinct vertices, right D-membership, and every
-    edge of the obstruction pattern present in ``g``."""
-    vs = witness.vertices()
-    if len(set(vs)) != len(vs):
-        return False
-    if not all(type(v) is int and 0 <= v < g.n for v in vs):
-        return False
-    if isinstance(witness, BWitness):
-        specified = (witness.v1, witness.u1, witness.v2, witness.u2)
-        others = (*witness.x1, *witness.x2)
-        if not all(v in d for v in specified):
-            return False
-        if any(x in d for x in others):
-            return False
-        for a, b in ((witness.v1, witness.u1), (witness.v2, witness.u2)):
-            pair = witness.x1 if a == witness.v1 else witness.x2
-            for x in pair:
-                if not (g.has_edge(a, x) and g.has_edge(b, x)):
-                    return False
-        return g.has_edge(witness.x1[0], witness.x2[0])
-    if len(witness.spokes) < 2:
-        return False
-    if witness.center not in d:
-        return False
-    for w, x1, x2 in witness.spokes:
-        if w not in d or x1 in d or x2 in d:
-            return False
-        for x in (x1, x2):
-            if not (g.has_edge(witness.center, x) and g.has_edge(w, x)):
-                return False
-    t = len(witness.spokes)
-    return all(
-        g.has_edge(witness.spokes[r][1], witness.spokes[(r + 1) % t][2])
-        for r in range(t)
+    """Replay the pattern a witness states: distinct int vertices of
+    ``g``, at least three of them in D (a bridge has four, a ring its
+    centre and two or more spoke ends), every vertex on its stated side of
+    D, and every required edge in ``g``.  A malformed witness is False."""
+    in_d, out_d, edges = witness.pattern()
+    vs = in_d + out_d
+    return (
+        all(type(v) is int and 0 <= v < g.n for v in vs)
+        and len(set(vs)) == len(vs)
+        and len(in_d) >= 3
+        and all(v in d for v in in_d)
+        and not any(v in d for v in out_d)
+        and all(g.has_edge(a, b) for a, b in edges)
     )
 
 
@@ -270,14 +266,15 @@ def recognize_h(inst: PartitionedInstance) -> RecognitionVerdict:
     """Decide gamma == gamma_2 for a subdivision instance whose
     underlying graph has girth >= 5.
 
-    Near-linear: one pass over the instance (validation, the bridge scan
-    over the supplementary edges, and each D-vertex's incident pairs and
-    local graph read off the rows of its own neighbours, numbered pair
-    by pair).  Each D-vertex's local ``Graph``, with every pair edge in
-    it, is built once; per incident pair, ``Graph.without_edge`` drops
-    that pair's edge, sharing the other rows, and one maximum matching
-    of the result costs one greedy pass and at most one augmenting
-    search.
+    Cost: quadratic at high-degree centres, not near-linear.  The bridge
+    scan is one pass over the edges.  Each D-vertex's local
+    ``Graph``, with every pair edge in it, is built once from the rows
+    of its own neighbours; per incident pair, ``Graph.without_edge``
+    drops that pair's edge, sharing the other rows, and one maximum
+    matching runs over the whole local graph (one greedy pass and at
+    most one augmenting search).  A centre with s incident pairs thus
+    costs s matchings on 2s vertices, and validation's girth test visits
+    all ~s^2 / 2 wedges at it (ROADMAP.md times this on hub instances).
     Raises :class:`InvalidHInstanceError` on malformed input.
     """
     report = validate_h(inst)

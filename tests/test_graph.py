@@ -1,6 +1,7 @@
 """Core graph container and operations."""
 
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -172,6 +173,18 @@ def test_is_connected_agrees_with_components():
     assert connected == [len(components(g)) == 1 for g in graphs]
     assert connected[:4] == [False, True, False, True]
     assert 50 < connected.count(True) < 250  # both answers are exercised
+
+
+def test_is_connected_builds_no_masks():
+    # 60,001 vertices: adjacency bitmasks would take ~160 MB
+    g = gadget_s([2] * 20_000).g
+    tracemalloc.start()
+    try:
+        assert is_connected(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 @given(edge_lists())

@@ -255,6 +255,12 @@ def test_tampered_witness_fails_replay():
             ring_inst, replace(a, spokes=((third[0], *first[1:]), second)),
         ),
         "missing ring edge": (ring_inst, replace(a, spokes=(first, second))),
+        # malformed vertices fail before the distinctness test hashes them
+        "bridge vertex a list": (bridge_inst, replace(b, u1=[b.u1])),
+        "spoke end a list": (
+            ring_inst,
+            replace(a, spokes=(([first[0]], *first[1:]), second, third)),
+        ),
     }
     for rule, (inst, witness) in tampered.items():
         assert not check_witness(inst.g, inst.d, witness), rule

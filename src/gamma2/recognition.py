@@ -522,10 +522,15 @@ def perfect_oracle(g: Graph) -> bool:
     Each subset of minimum degree >= 2 is decided on the host's adjacency
     masks by ``gamma_eq_gamma2_masks``, with no induced ``Graph`` per
     subset: an exact gamma per component, then a 2-domination search
-    capped at it that stops at its first set.
+    capped at it that stops at its first set.  One table of component
+    verdicts, keyed by the relabelled adjacency and dropped on return,
+    serves the whole call, so a component whose relabelled rows recur
+    across subsets is decided once.  A verdict is reused only for
+    identical rows, never for a graph that is merely isomorphic.
     """
     check_size("perfect_oracle", g.n, PERFECT_ORACLE_VERTEX_LIMIT)
     masks = g.adjacency_masks()
+    decided: dict[tuple[int, ...], bool] = {}
     for subset in range(1, 1 << g.n):
         if subset.bit_count() < 3:
             continue
@@ -539,6 +544,6 @@ def perfect_oracle(g: Graph) -> bool:
                 break
         if not ok:
             continue
-        if not gamma_eq_gamma2_masks(masks, subset):
+        if not gamma_eq_gamma2_masks(masks, subset, decided):
             return False
     return True

@@ -32,9 +32,13 @@ and ``perfect_oracle`` on each vertex subset), ``gamma_eq_gamma2_masks``
 decides it over the same components without computing gamma_2: after the
 exact gamma(C), the k = 2 search starts from the incumbent gamma(C) + 1
 instead of the greedy set and stops at the first 2-dominating set of
-gamma(C) vertices.  gamma_2 >= gamma, so that set exists iff they are
-equal.  Every lower bound holds for any incumbent, so the verdict is
-the one the two optima give.
+gamma(C) vertices: at the first node whose completion lookahead finds
+picks that finish it, it returns that node's set plus those picks.
+gamma_2 >= gamma, so that set exists iff they are equal.  Every lower
+bound holds for any incumbent, so the verdict is the one the two optima
+give.  The caller passes a table of component verdicts keyed by the
+relabelled adjacency, so within one ``perfect_oracle`` call a component
+whose rows recur across subsets, the same graph, is decided once.
 """
 
 from __future__ import annotations
@@ -147,7 +151,9 @@ def _solve_component(
     Returns (size, chosen_mask).  With ``cap`` the search answers a
     decision instead: it starts from the incumbent ``cap + 1`` rather than
     the greedy set and returns the first k-dominating set it reaches, which
-    has at most ``cap`` vertices, or (cap + 1, 0) when there is none.
+    has at most ``cap`` vertices, or (cap + 1, 0) when there is none.  It
+    reaches one at the first node where the completion lookahead finds
+    picks that finish it, and returns chosen plus those picks there.
     The search is deterministic: branch
     vertices and propagation order depend only on vertex indices.  Search
     nodes sit on one explicit stack as (chosen, excluded, levels, added).
@@ -167,10 +173,12 @@ def _solve_component(
     completion lookahead.  The last runs only where t = best - 1 - size
     picks left is at most ``_LOOKAHEAD``: the pass ANDs the one-pick sets
     of the needy vertices, and when no single vertex finishes the node,
-    ``_picks_finish`` asks whether at most t do.  Each is a pure lower
+    ``_picks_finish`` looks for at most t that do.  Each is a pure lower
     bound and the branch order depends only on vertex indices, so the
     bounds change how many nodes are searched, never which optimum and
-    witness come out.
+    witness come out.  Only a capped search reads the picks found: the
+    uncapped one branches on, so its witness stays the one the branch
+    order gives.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -272,19 +280,23 @@ def _solve_component(
         if size - (-outstanding // reach) >= best:
             continue
 
-        # Completion lookahead: no set of at most ``picks`` undecided
-        # vertices finishes the node.
-        if near and not one and (
-            picks < 2
-            or not _picks_finish(
+        # Completion lookahead: the node is cut unless some set of at most
+        # ``picks`` undecided vertices finishes it.  The bounds above have
+        # cut every node with no picks left, so here picks >= 1 and
+        # chosen | found has at most ``cap`` vertices: a capped search
+        # returns it.
+        if near:
+            found = one & -one or picks > 1 and _picks_finish(
                 adj,
                 [(1 << v, need, options) for _, v, _, options, need in pools],
                 min(pools)[3],
                 excluded,
                 picks,
             )
-        ):
-            continue
+            if not found:
+                continue
+            if cap is not None:
+                return size + found.bit_count(), chosen | found
 
         # Branch on the most constrained vertex's most useful option.
         pivot, pivot_score = -1, -1
@@ -305,9 +317,9 @@ def _picks_finish(
     pool: int,
     excluded: int,
     picks: int,
-) -> bool:
-    """True iff at most ``picks`` (>= 2) undecided vertices finish every
-    needy vertex.
+) -> int:
+    """A set of at most ``picks`` (>= 2) undecided vertices that finishes
+    every needy vertex, as a bitmask, or 0 when there is none.
 
     ``rows`` holds (bit, need, options) of each needy vertex, with the
     vertex itself among its options unless it is excluded.  Any finishing
@@ -316,7 +328,8 @@ def _picks_finish(
     After a, a vertex w still needing one more is finished by any other
     option of w, one needing more only by picking w itself; with one pick
     left these one-pick sets must meet, otherwise the test recurses on the
-    smallest pool that a leaves.
+    smallest pool that a leaves.  The set returned is the first a that
+    works plus the lowest vertex of the meet, or plus the recursion's set.
     """
     last = picks == 2
     tried = 0
@@ -342,19 +355,21 @@ def _picks_finish(
             else:
                 left.append((bit, need, options))
         else:
-            if one or (
-                not last
-                and _picks_finish(
+            if one:
+                # -1: a left no vertex needy and finishes the node alone
+                return abit if one < 0 else abit | one & -one
+            if not last:
+                rest = _picks_finish(
                     adj,
                     left,
                     min([row[2] for row in left], key=int.bit_count),
                     banned,
                     picks - 1,
                 )
-            ):
-                return True
+                if rest:
+                    return abit | rest
         tried |= abit
-    return False
+    return 0
 
 
 def _components(
@@ -391,18 +406,26 @@ def _components(
         yield vertices, sub
 
 
-def gamma_eq_gamma2_masks(adj: Sequence[int], within: int) -> bool:
+def gamma_eq_gamma2_masks(
+    adj: Sequence[int], within: int, decided: dict[tuple[int, ...], bool]
+) -> bool:
     """Whether gamma = gamma_2 on the subgraph induced on ``within``.
 
     Decided per component from ``_components``: gamma(C) is solved
     exactly, then a search at k = 2 capped at gamma(C) asks only whether
     some 2-dominating set of gamma(C) vertices exists.  gamma_2(C) >=
     gamma(C) on every component, so the numbers are equal iff every
-    component has one.
+    component has one.  ``decided`` is the caller's table of component
+    verdicts, keyed by ``tuple(rows)``: a component whose adjacency is
+    already there, the same graph, is not solved again.
     """
     for _, sub in _components(adj, within):
-        gamma = _solve_component(sub, 1)[0]
-        if _solve_component(sub, 2, gamma)[0] > gamma:
+        key = tuple(sub)
+        equal = decided.get(key)
+        if equal is None:
+            gamma = _solve_component(sub, 1)[0]
+            equal = decided[key] = _solve_component(sub, 2, gamma)[0] == gamma
+        if not equal:
             return False
     return True
 
@@ -480,7 +503,7 @@ def is_gamma_gamma2_graph(g: Graph) -> bool:
     2-domination search per component, not two optima.
     """
     check_size("is_gamma_gamma2_graph", g.n, BRUTE_FORCE_VERTEX_LIMIT)
-    return gamma_eq_gamma2_masks(g.adjacency_masks(), (1 << g.n) - 1)
+    return gamma_eq_gamma2_masks(g.adjacency_masks(), (1 << g.n) - 1, {})
 
 
 # ---------------------------------------------------------------------------

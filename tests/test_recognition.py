@@ -30,7 +30,7 @@ from gamma2 import (
     recognize_perfect,
     validate_h,
 )
-from gamma2 import recognition
+from gamma2 import recognition, solvers
 from gamma2.constructions import (
     ConstructionSpec,
     _random_supp_edges,
@@ -47,7 +47,7 @@ from gamma2.recognition import (
     FORBIDDEN_CHECK_VERTEX_LIMIT,
     PERFECT_ORACLE_VERTEX_LIMIT,
 )
-from gamma2.solvers import gamma_and_gamma2
+from gamma2.solvers import gamma_and_gamma2, gamma_k_bruteforce
 from gamma2.verify import (
     h_instance_stream,
     perfect_fixtures,
@@ -535,6 +535,72 @@ def test_perfect_oracle_matches_the_induced_subgraph_definition():
     assert verdicts.count(False) >= 100
     assert sum(len(components(g)) > 1 for g in graphs) >= 200
     assert sum(g.n > 0 and g.min_degree() < 2 for g in graphs) >= 200
+
+
+def _k2(m):
+    """K_{2,m}: vertices 0 and 1 against 2..m + 1."""
+    return from_edges(m + 2, [(u, v) for u in (0, 1) for v in range(2, m + 2)])
+
+
+def _bruteforce_perfect_oracle(g):
+    """The definition with subset enumeration for both numbers: an
+    induced ``Graph`` per vertex subset, and gamma and gamma_2 of each one
+    of minimum degree >= 2 from ``gamma_k_bruteforce``."""
+    for size in range(3, g.n + 1):
+        for subset in combinations(range(g.n), size):
+            sub, _ = induced_subgraph(g, subset)
+            if sub.min_degree() >= 2 and (
+                gamma_k_bruteforce(sub, 1).number
+                != gamma_k_bruteforce(sub, 2).number
+            ):
+                return False
+    return True
+
+
+def test_perfect_oracle_matches_bruteforce():
+    # Seeded G(n, p) on at most 8 vertices, plus named fixtures.  The
+    # oracle shares one verdict table across all subsets of a call, so a
+    # verdict handed to the wrong component shows up here: in K_{2,3} + C5
+    # the first 5-vertex component decided is K_{2,3} (EQUAL), and the
+    # C5 after it (NOT-EQUAL) is the only failing subset.
+    rng = random.Random("perfect oracle brute force")
+    graphs = [
+        random_graph(rng, rng.randint(3, 8), rng.choice([0.3, 0.5, 0.7]))
+        for _ in range(120)
+    ]
+    named = [(_k2(m), True) for m in range(2, 8)]
+    named += [(g, False) for g in t6_augmented_fixtures()]
+    for left in (cycle(4), _k2(3)):
+        union = from_edges(left.n + 5, left.edge_list() + shift(cycle(5), left.n, 5))
+        named.append((union, False))
+    graphs += [g for g, _ in named]
+    verdicts = [perfect_oracle(g) for g in graphs]
+    assert verdicts == [_bruteforce_perfect_oracle(g) for g in graphs]
+    assert verdicts[-len(named):] == [perfect for _, perfect in named]
+    assert 20 <= verdicts.count(False) <= len(graphs) - 20  # both verdicts
+
+
+def test_perfect_oracle_solves_each_distinct_component_once(monkeypatch):
+    # K_{2,11}, at the oracle's cap: thousands of subsets of minimum degree
+    # >= 2, but only a few distinct relabelled components among them, and
+    # each costs at most two solves (gamma, then the capped search).
+    g = _k2(11)
+    assert g.n == PERFECT_ORACLE_VERTEX_LIMIT
+    adj = g.adjacency_masks()
+    distinct = set()
+    for subset in range(1 << g.n):
+        members = [v for v in range(g.n) if subset >> v & 1]
+        if len(members) >= 3 and all(
+            (adj[v] & subset).bit_count() >= 2 for v in members
+        ):
+            distinct.update(tuple(rows) for _, rows in solvers._components(adj, subset))
+    calls = []
+    solve = solvers._solve_component
+    monkeypatch.setattr(
+        solvers, "_solve_component", lambda *args: calls.append(args) or solve(*args)
+    )
+    assert perfect_oracle(g)
+    assert 0 < len(calls) <= 2 * len(distinct)
 
 
 def _reference_recognize_perfect(g):

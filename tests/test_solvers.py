@@ -41,6 +41,7 @@ from gamma2.solvers import (
     _greedy_cover_mask,
     _picks_finish,
     _solve_component,
+    gamma_eq_gamma2_masks,
 )
 from gamma2.verify import (
     UNSAT_COVERED_6,
@@ -202,7 +203,8 @@ def _fewest_finishing_picks(adj, chosen, excluded, k, most):
 def test_picks_finish_matches_enumeration():
     # The completion lookahead's test, on random partial search states:
     # the rows are built the way _solve_component builds them, and any
-    # needy vertex's option pool may serve as the first pool.
+    # needy vertex's option pool may serve as the first pool.  A set it
+    # returns must be undecided picks, within budget, that finish the node.
     rng = random.Random("picks finish")
     answers = set()
     for _ in range(300):
@@ -235,7 +237,12 @@ def test_picks_finish_matches_enumeration():
                 expected = fewest is not None and fewest <= picks
                 for pool in pools:
                     answer = _picks_finish(adj, rows, pool, excluded, picks)
-                    assert answer == expected, (adj, chosen, excluded, k, picks, pool)
+                    state = (adj, chosen, excluded, k, picks, pool, answer)
+                    assert bool(answer) == expected, state
+                    if answer:
+                        assert answer.bit_count() <= picks, state
+                        assert not answer & (chosen | excluded), state
+                        assert _bit_is_k_dominating(adj, chosen | answer, k), state
                 answers.add((picks, expected))
     assert answers == {(t, e) for t in range(2, _LOOKAHEAD + 1) for e in (False, True)}
 
@@ -477,6 +484,22 @@ def test_gamma_eq_gamma2_decision_matches_bruteforce():
     assert not is_gamma_gamma2_graph(path(2))
     assert is_gamma_gamma2_graph(_cycles(4, 4))
     assert not is_gamma_gamma2_graph(_cycles(4, 5))
+
+
+def test_gamma_eq_gamma2_table_is_keyed_on_the_whole_adjacency():
+    # K_{2,3} and the house (C5 plus one chord) both have 5 vertices and 6
+    # edges, so a table keyed on less than the rows would hand the house
+    # the verdict of K_{2,3}.
+    k23 = from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
+    house = from_edges(5, cycle(5).edge_list() + [(1, 4)])
+    decided = {}
+    for g, equal in ((k23, True), (house, False)):
+        gamma, gamma2 = (gamma_k_bruteforce(g, k).number for k in (1, 2))
+        assert (gamma == gamma2) == equal
+        adj = g.adjacency_masks()
+        assert gamma_eq_gamma2_masks(adj, (1 << g.n) - 1, decided) == equal
+        assert decided[tuple(adj)] == equal
+    assert len(decided) == 2
 
 
 def _check_capped_search(g, k, caps):

@@ -8,7 +8,7 @@ and safe to share between threads.  All other modules build on this one.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 class Graph:
     """Immutable simple graph.
@@ -204,25 +204,6 @@ def components(g: Graph) -> list[list[int]]:
                     queue.append(u)
         out.append(sorted(comp))
     return out
-
-
-def flood(masks: Sequence[int], start: int, within: int) -> int:
-    """The vertex mask of the component of ``start`` in the subgraph
-    induced on the vertex mask ``within``, which must hold ``start``.
-
-    ``masks`` is a bitmask adjacency (``Graph.adjacency_masks``).  This is
-    the one flood fill on masks: it adds one layer of neighbours at a time.
-    """
-    comp = frontier = 1 << start
-    while frontier:
-        reach = 0  # neighbours of the last layer, one bit at a time
-        while frontier:
-            low = frontier & -frontier
-            reach |= masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & within & ~comp
-        comp |= frontier
-    return comp
 
 
 def is_connected(g: Graph) -> bool:

@@ -15,13 +15,15 @@ Second, ``recognize_perfect`` decides structurally whether every induced
 subgraph of minimum degree two keeps the two numbers equal; the positive
 graphs are exactly the disjoint unions of doubled-subdivided stars.
 ``forbidden_subgraph_check`` and ``perfect_oracle`` are the two
-independent routes used to cross-validate it.
+independent routes used to cross-validate it; the oracle hands every
+subset of minimum degree two, as a vertex mask, to one call of the
+solver's decision ``gamma_eq_gamma2_masks``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .constructions import PartitionedInstance
 from .graph import (
@@ -519,31 +521,30 @@ def perfect_oracle(g: Graph) -> bool:
     has equal domination and 2-domination numbers.  At most
     ``PERFECT_ORACLE_VERTEX_LIMIT`` vertices.
 
-    Each subset of minimum degree >= 2 is decided on the host's adjacency
-    masks by ``gamma_eq_gamma2_masks``, with no induced ``Graph`` per
-    subset: an exact gamma per component, then a 2-domination search
-    capped at it that stops at its first set.  One table of component
-    verdicts, keyed by the relabelled adjacency and dropped on return,
-    serves the whole call, so a component whose relabelled rows recur
-    across subsets is decided once.  A verdict is reused only for
-    identical rows, never for a graph that is merely isomorphic.
+    A generator yields the subsets of minimum degree >= 2 as vertex masks
+    on the host, and ``gamma_eq_gamma2_masks`` decides them all in one
+    call, with no induced ``Graph`` per subset: an exact gamma per
+    component, then a 2-domination search capped at it that stops at its
+    first set.  The generator is lazy, so the walk stops at the first
+    failing subset.  The decision keeps one table of component verdicts
+    for the call, keyed by the relabelled adjacency, so a component whose
+    rows recur across subsets is decided once; a verdict is reused only
+    for identical rows, never for a graph that is merely isomorphic.
     """
     check_size("perfect_oracle", g.n, PERFECT_ORACLE_VERTEX_LIMIT)
     masks = g.adjacency_masks()
-    decided: dict[tuple[int, ...], bool] = {}
-    for subset in range(1, 1 << g.n):
-        if subset.bit_count() < 3:
-            continue
-        ok = True
-        probe = subset
-        while probe:
-            v = (probe & -probe).bit_length() - 1
-            probe &= probe - 1
-            if (masks[v] & subset).bit_count() < 2:
-                ok = False
-                break
-        if not ok:
-            continue
-        if not gamma_eq_gamma2_masks(masks, subset, decided):
-            return False
-    return True
+
+    def min_degree_two() -> Iterator[int]:
+        for subset in range(1, 1 << g.n):
+            if subset.bit_count() < 3:
+                continue
+            probe = subset
+            while probe:
+                v = (probe & -probe).bit_length() - 1
+                probe &= probe - 1
+                if (masks[v] & subset).bit_count() < 2:
+                    break
+            else:
+                yield subset
+
+    return gamma_eq_gamma2_masks(masks, min_degree_two())

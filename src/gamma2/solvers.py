@@ -3,10 +3,10 @@
 A set D is k-dominating when every vertex outside D has at least k
 neighbours inside D; gamma_k is the minimum size of such a set.
 
-``gamma_k`` works on the graph's adjacency bitmasks from start to finish:
-``_components`` finds the components with ``graph.flood``, the one flood
-fill on masks, and no ``Graph`` is built per component.  Each component
-gets a branch-and-bound search.  It starts from a greedy upper bound,
+``gamma_k`` works on the graph's adjacency bitmasks from start to
+finish: ``_components`` floods the components on the masks, and no
+``Graph`` is built per component.  Each component gets a
+branch-and-bound search.  It starts from a greedy upper bound,
 propagates forced choices at each node, and prunes with three lower
 bounds.  First come needy vertices with pairwise disjoint option pools,
 and the counting bound: one more vertex meets at most (max degree + k)
@@ -36,9 +36,10 @@ gamma(C) vertices: at the first node whose completion lookahead finds
 picks that finish it, it returns that node's set plus those picks.
 gamma_2 >= gamma, so that set exists iff they are equal.  Every lower
 bound holds for any incumbent, so the verdict is the one the two optima
-give.  The caller passes a table of component verdicts keyed by the
-relabelled adjacency, so within one ``perfect_oracle`` call a component
-whose rows recur across subsets, the same graph, is decided once.
+give.  The decision takes the vertex masks to decide and keeps its own
+table of component verdicts for the call, keyed by the relabelled
+adjacency, so within one ``perfect_oracle`` call a component whose rows
+recur across subsets, the same graph, is decided once.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graph import Graph, check_int, check_size, checked_vertices, flood
+from .graph import Graph, check_int, check_size, checked_vertices
 
 BRUTE_FORCE_VERTEX_LIMIT = 22
 SAT_VARIABLE_LIMIT = 20
@@ -374,23 +375,32 @@ def _picks_finish(
 
 def _components(
     adj: Sequence[int], within: int
-) -> Iterator[tuple[Optional[list[int]], Sequence[int]]]:
+) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
     """Each component of the subgraph induced on the vertex mask ``within``.
 
-    Yields (vertices, rows): the component's vertices in ascending order
-    and its bitmask adjacency relabelled to 0..|C|-1 in that order, the
-    numbering ``induced_subgraph`` gives.  Each component is one
-    ``flood`` from the lowest vertex left.  A component that is the whole
-    host comes as (None, adj): ``adj`` itself, in the host's labels, not
-    relabelled.
+    Yields (vertices, rows): the component's host vertices in ascending
+    order and its bitmask adjacency relabelled to 0..|C|-1 in that order,
+    the numbering ``induced_subgraph`` gives.  Each component is flooded
+    from the lowest vertex left, one layer of neighbours at a time.  A
+    component that is the whole host comes as (range(n), adj): ``adj``
+    itself, neither copied nor relabelled.
     """
-    full = (1 << len(adj)) - 1
+    n = len(adj)
+    full = (1 << n) - 1
     rest = within
     while rest:
-        comp = flood(adj, (rest & -rest).bit_length() - 1, rest)
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0  # neighbours of the last layer, one bit at a time
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & rest & ~comp
+            comp |= frontier
         rest ^= comp
         if comp == full:
-            yield None, adj
+            yield range(n), adj
             return
         vertices = _bit_list(comp)
         label = {1 << v: 1 << i for i, v in enumerate(vertices)}  # host bit
@@ -406,27 +416,28 @@ def _components(
         yield vertices, sub
 
 
-def gamma_eq_gamma2_masks(
-    adj: Sequence[int], within: int, decided: dict[tuple[int, ...], bool]
-) -> bool:
-    """Whether gamma = gamma_2 on the subgraph induced on ``within``.
+def gamma_eq_gamma2_masks(adj: Sequence[int], subsets: Iterable[int]) -> bool:
+    """Whether gamma = gamma_2 on the subgraph induced on every vertex mask
+    of ``subsets``; stops at the first one where they differ.
 
     Decided per component from ``_components``: gamma(C) is solved
     exactly, then a search at k = 2 capped at gamma(C) asks only whether
     some 2-dominating set of gamma(C) vertices exists.  gamma_2(C) >=
     gamma(C) on every component, so the numbers are equal iff every
-    component has one.  ``decided`` is the caller's table of component
-    verdicts, keyed by ``tuple(rows)``: a component whose adjacency is
-    already there, the same graph, is not solved again.
+    component has one.  One table of component verdicts, keyed by
+    ``tuple(rows)`` and dropped on return, serves the whole call: a
+    component whose rows recur, the same graph, is not solved again.
     """
-    for _, sub in _components(adj, within):
-        key = tuple(sub)
-        equal = decided.get(key)
-        if equal is None:
-            gamma = _solve_component(sub, 1)[0]
-            equal = decided[key] = _solve_component(sub, 2, gamma)[0] == gamma
-        if not equal:
-            return False
+    decided: dict[tuple[int, ...], bool] = {}
+    for within in subsets:
+        for _, sub in _components(adj, within):
+            key = tuple(sub)
+            equal = decided.get(key)
+            if equal is None:
+                gamma = _solve_component(sub, 1)[0]
+                equal = decided[key] = _solve_component(sub, 2, gamma)[0] == gamma
+            if not equal:
+                return False
     return True
 
 
@@ -434,8 +445,8 @@ def gamma_k(g: Graph, k: int) -> DominationResult:
     """Exact k-domination number with a deterministic witness.
 
     Each component from ``_components`` is solved on its own, and its
-    witness is mapped back to ``g``'s labels; the empty graph has
-    gamma_k = 0.
+    witness is mapped back to ``g``'s labels through the component's
+    vertices; the empty graph has gamma_k = 0.
     """
     check_int("k", k, 1)
     number = 0
@@ -443,8 +454,7 @@ def gamma_k(g: Graph, k: int) -> DominationResult:
     for vertices, sub in _components(g.adjacency_masks(), (1 << g.n) - 1):
         size, mask = _solve_component(sub, k)
         number += size
-        chosen = _bit_list(mask)
-        witness += chosen if vertices is None else [vertices[i] for i in chosen]
+        witness += [vertices[i] for i in _bit_list(mask)]
     return DominationResult(k, number, frozenset(witness))
 
 
@@ -496,14 +506,18 @@ def gamma_and_gamma2(g: Graph) -> tuple[int, int]:
 
 
 def is_gamma_gamma2_graph(g: Graph) -> bool:
-    """Definitional test for gamma(g) == gamma_2(g) (small graphs only).
+    """Whether gamma(g) == gamma_2(g), by the branch-and-bound decision
+    (small graphs only).
 
     Guarded like ``gamma_and_gamma2``, then decided by
     ``gamma_eq_gamma2_masks``: one exact gamma solve and one capped
-    2-domination search per component, not two optima.
+    2-domination search per component, not two optima.  It rests on the
+    same search as ``gamma_k``, so it is no referee for it; the
+    independent routes are ``gamma_k_bruteforce`` and
+    ``enumerate_min_k_dominating``.
     """
     check_size("is_gamma_gamma2_graph", g.n, BRUTE_FORCE_VERTEX_LIMIT)
-    return gamma_eq_gamma2_masks(g.adjacency_masks(), (1 << g.n) - 1, {})
+    return gamma_eq_gamma2_masks(g.adjacency_masks(), [(1 << g.n) - 1])
 
 
 # ---------------------------------------------------------------------------

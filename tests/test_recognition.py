@@ -603,6 +603,22 @@ def test_perfect_oracle_solves_each_distinct_component_once(monkeypatch):
     assert 0 < len(calls) <= 2 * len(distinct)
 
 
+def test_no_verdict_outlives_its_call(monkeypatch):
+    # The verdict table lives for one call: a second call decides every
+    # component again, so it makes as many solves as the first.
+    calls = []
+    solve = solvers._solve_component
+    monkeypatch.setattr(
+        solvers, "_solve_component", lambda *args: calls.append(args) or solve(*args)
+    )
+    for decide, g in ((perfect_oracle, _k2(11)), (is_gamma_gamma2_graph, cycle(5))):
+        calls.clear()
+        decide(g)
+        once = len(calls)
+        decide(g)
+        assert once > 0 and len(calls) == 2 * once
+
+
 def _reference_recognize_perfect(g):
     """The rule ``recognize_perfect`` must reproduce: an induced ``Graph``
     per component, accepted when any vertex of maximum degree is a

@@ -31,7 +31,7 @@ from gamma2.constructions import (
     reduce_3sat,
     star,
 )
-from gamma2.graph import components, flood, induced_subgraph
+from gamma2.graph import components, induced_subgraph
 from gamma2.solvers import (
     _LOOKAHEAD,
     BRUTE_FORCE_VERTEX_LIMIT,
@@ -340,7 +340,8 @@ def _many_part_graph(rng, parts, isolated):
 def test_flood_and_component_walk_agree_with_components_on_partial_masks():
     # gamma_k walks the whole vertex set and perfect_oracle its subsets;
     # both must see the components of the induced subgraph, relabelled as
-    # induced_subgraph numbers them, and the whole host only as (None, adj).
+    # induced_subgraph numbers them, and the whole host only as
+    # (range(n), adj).
     rng = random.Random("flood")
     cases = [
         (from_edges(0, []), 0),
@@ -360,13 +361,10 @@ def test_flood_and_component_walk_agree_with_components_on_partial_masks():
         adj = g.adjacency_masks()
         sub, mapping = induced_subgraph(g, [v for v in range(g.n) if within >> v & 1])
         expected = [[mapping[i] for i in comp] for comp in components(sub)]
-        for comp in expected:
-            mask = sum(1 << v for v in comp)
-            assert all(flood(adj, v, within) == mask for v in comp)
         walked = list(_components(adj, within))
         if len(expected) == 1 and len(expected[0]) == g.n:
             hosts += 1
-            assert len(walked) == 1 and walked[0][0] is None
+            assert len(walked) == 1 and walked[0][0] == range(g.n)
             assert walked[0][1] is adj
             continue
         assert [vertices for vertices, _ in walked] == expected
@@ -487,19 +485,20 @@ def test_gamma_eq_gamma2_decision_matches_bruteforce():
 
 
 def test_gamma_eq_gamma2_table_is_keyed_on_the_whole_adjacency():
-    # K_{2,3} and the house (C5 plus one chord) both have 5 vertices and 6
-    # edges, so a table keyed on less than the rows would hand the house
-    # the verdict of K_{2,3}.
-    k23 = from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
-    house = from_edges(5, cycle(5).edge_list() + [(1, 4)])
-    decided = {}
-    for g, equal in ((k23, True), (house, False)):
-        gamma, gamma2 = (gamma_k_bruteforce(g, k).number for k in (1, 2))
-        assert (gamma == gamma2) == equal
-        adj = g.adjacency_masks()
-        assert gamma_eq_gamma2_masks(adj, (1 << g.n) - 1, decided) == equal
-        assert decided[tuple(adj)] == equal
-    assert len(decided) == 2
+    # K_{2,3} on 0..4 and the house (C5 plus one chord) on 5..9 both have 5
+    # vertices and 6 edges, so a table keyed on less than the rows would
+    # hand the house the verdict of K_{2,3}, decided first.
+    k23 = [(u, v) for u in (0, 1) for v in (2, 3, 4)]
+    house = cycle(5).edge_list() + [(1, 4)]
+    for edges, equal in ((k23, True), (house, False)):
+        g = from_edges(5, edges)
+        assert (gamma_k_bruteforce(g, 1).number == gamma_k_bruteforce(g, 2).number) == equal
+    host = from_edges(10, k23 + [(u + 5, v + 5) for u, v in house])
+    masks = host.adjacency_masks()
+    k23_mask, house_mask = 0b11111, 0b11111 << 5
+    assert gamma_eq_gamma2_masks(masks, [k23_mask])
+    assert not gamma_eq_gamma2_masks(masks, [house_mask])
+    assert not gamma_eq_gamma2_masks(masks, [k23_mask, house_mask])
 
 
 def _check_capped_search(g, k, caps):

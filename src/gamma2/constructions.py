@@ -393,11 +393,19 @@ def reduce_3sat(f: CnfFormula) -> SatReduction:
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    """G(n, p): each of the n(n-1)/2 pairs is an edge with probability p."""
+    """G(n, p): each of the n(n-1)/2 pairs is an edge with probability p.
+
+    The pairs are drawn in ``combinations`` order, one ``rng.random()``
+    each, straight into adjacency rows: they are valid by construction, so
+    no edge list goes through ``from_edges``' checks.
+    """
     check_int("vertex count", n, 0)
-    return from_edges(
-        n, [e for e in combinations(range(n), 2) if rng.random() < p]
-    )
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v in combinations(range(n), 2):
+        if rng.random() < p:
+            rows[u].append(v)
+            rows[v].append(u)
+    return Graph(n, rows)
 
 
 def _random_supp_edges(

@@ -523,13 +523,14 @@ def perfect_oracle(g: Graph) -> bool:
 
     A generator yields the subsets of minimum degree >= 2 as vertex masks
     on the host, and ``gamma_eq_gamma2_masks`` decides them all in one
-    call, with no induced ``Graph`` per subset: an exact gamma per
-    component, then a 2-domination search capped at it that stops at its
-    first set.  The generator is lazy, so the walk stops at the first
-    failing subset.  The decision keeps one table of component verdicts
-    for the call, keyed by the relabelled adjacency, so a component whose
-    rows recur across subsets is decided once; a verdict is reused only
-    for identical rows, never for a graph that is merely isomorphic.
+    call, with no induced ``Graph`` per subset: per component, capped
+    gamma searches from the counting bound up until one finds a set, then
+    a 2-domination search capped at gamma that stops at its first set.
+    The generator is lazy, so the walk stops at the first failing subset.
+    The decision keeps one table of component verdicts for the call,
+    keyed by the relabelled adjacency, so a component whose rows recur
+    across subsets is decided once; a verdict is reused only for
+    identical rows, never for a graph that is merely isomorphic.
     """
     check_size("perfect_oracle", g.n, PERFECT_ORACLE_VERTEX_LIMIT)
     masks = g.adjacency_masks()

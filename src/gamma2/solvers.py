@@ -29,17 +29,21 @@ independent oracle used to validate it on small graphs.
 
 Where only the verdict gamma = gamma_2 is read (``is_gamma_gamma2_graph``,
 and ``perfect_oracle`` on each vertex subset), ``gamma_eq_gamma2_masks``
-decides it over the same components without computing gamma_2: after the
-exact gamma(C), the k = 2 search starts from the incumbent gamma(C) + 1
-instead of the greedy set and stops at the first 2-dominating set of
-gamma(C) vertices: at the first node whose completion lookahead finds
-picks that finish it, it returns that node's set plus those picks.
-gamma_2 >= gamma, so that set exists iff they are equal.  Every lower
-bound holds for any incumbent, so the verdict is the one the two optima
-give.  The decision takes the vertex masks to decide and keeps its own
-table of component verdicts for the call, keyed by the relabelled
-adjacency, so within one ``perfect_oracle`` call a component whose rows
-recur across subsets, the same graph, is decided once.
+decides it over the same components with capped searches alone, and
+builds no greedy set.  A search capped at c starts from the incumbent
+c + 1 and stops at the first set of at most c vertices: at the first
+node whose completion lookahead finds picks that finish it, it returns
+that node's set plus those picks.  The k = 1 cap starts at the counting
+bound |C| / (max degree + 1) and rises while no dominating set fits, so
+the first that fits is gamma(C); then a k = 2 search capped at gamma(C)
+asks for a 2-dominating set of gamma(C) vertices.  gamma_2 >= gamma, so
+that set exists iff they are equal.  Every lower bound holds for any
+incumbent, so the verdict is the one the two optima give.  The greedy
+set stays the incumbent of ``gamma_k`` alone.  The decision takes the
+vertex masks to decide and keeps its own table of component verdicts
+for the call, keyed by the relabelled adjacency, so within one
+``perfect_oracle`` call a component whose rows recur across subsets, the
+same graph, is decided once.
 """
 
 from __future__ import annotations
@@ -420,13 +424,15 @@ def gamma_eq_gamma2_masks(adj: Sequence[int], subsets: Iterable[int]) -> bool:
     """Whether gamma = gamma_2 on the subgraph induced on every vertex mask
     of ``subsets``; stops at the first one where they differ.
 
-    Decided per component from ``_components``: gamma(C) is solved
-    exactly, then a search at k = 2 capped at gamma(C) asks only whether
-    some 2-dominating set of gamma(C) vertices exists.  gamma_2(C) >=
-    gamma(C) on every component, so the numbers are equal iff every
-    component has one.  One table of component verdicts, keyed by
-    ``tuple(rows)`` and dropped on return, serves the whole call: a
-    component whose rows recur, the same graph, is not solved again.
+    Decided per component from ``_components`` by capped searches only:
+    the k = 1 search capped at c, for c from the counting bound
+    ceil(|C| / (max degree + 1)) up until one finds a dominating set,
+    which makes c = gamma(C); then a search at k = 2 capped at gamma(C)
+    asks only whether some 2-dominating set of gamma(C) vertices exists.
+    gamma_2(C) >= gamma(C) on every component, so the numbers are equal
+    iff every component has one.  One table of component verdicts, keyed
+    by ``tuple(rows)`` and dropped on return, serves the whole call: a
+    component whose rows recur, the same graph, is not decided again.
     """
     decided: dict[tuple[int, ...], bool] = {}
     for within in subsets:
@@ -434,7 +440,10 @@ def gamma_eq_gamma2_masks(adj: Sequence[int], subsets: Iterable[int]) -> bool:
             key = tuple(sub)
             equal = decided.get(key)
             if equal is None:
-                gamma = _solve_component(sub, 1)[0]
+                # From the counting bound up: the first cap that fits is gamma.
+                gamma = -(-len(sub) // (max(map(int.bit_count, sub)) + 1))
+                while _solve_component(sub, 1, gamma)[0] > gamma:
+                    gamma += 1
                 equal = decided[key] = _solve_component(sub, 2, gamma)[0] == gamma
             if not equal:
                 return False
@@ -510,10 +519,10 @@ def is_gamma_gamma2_graph(g: Graph) -> bool:
     (small graphs only).
 
     Guarded like ``gamma_and_gamma2``, then decided by
-    ``gamma_eq_gamma2_masks``: one exact gamma solve and one capped
-    2-domination search per component, not two optima.  It rests on the
-    same search as ``gamma_k``, so it is no referee for it; the
-    independent routes are ``gamma_k_bruteforce`` and
+    ``gamma_eq_gamma2_masks``: per component, capped gamma searches from
+    the counting bound up and one capped 2-domination search, not two
+    optima.  It rests on the same search as ``gamma_k``, so it is no
+    referee for it; the independent routes are ``gamma_k_bruteforce`` and
     ``enumerate_min_k_dominating``.
     """
     check_size("is_gamma_gamma2_graph", g.n, BRUTE_FORCE_VERTEX_LIMIT)

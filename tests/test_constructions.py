@@ -1,6 +1,8 @@
 """Builders: partitioned instances, gadgets, and the 3-SAT reduction."""
 
 import hashlib
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -28,7 +30,7 @@ from gamma2 import (
     random_h_instance,
     reduce_3sat,
 )
-from gamma2.constructions import complete, cycle, path, petersen, star
+from gamma2.constructions import complete, cycle, path, petersen, random_graph, star
 from gamma2.formats import instance_to_json
 from gamma2.recognition import validate_h
 
@@ -340,6 +342,18 @@ def test_reduce_3sat_requires_a_clause():
 
 
 # --- random instances ------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [0, 0.3, 1])
+def test_random_graph_draws_like_an_edge_list(p):
+    # One random() per pair in combinations order, as the edge-list build
+    # draws them: the same graph, and the rngs left in the same state.
+    rng, twin = random.Random(f"twin {p}"), random.Random(f"twin {p}")
+    for n in range(31):
+        pairs = combinations(range(n), 2)
+        expected = from_edges(n, [e for e in pairs if twin.random() < p])
+        assert random_graph(rng, n, p) == expected
+        assert rng.random() == twin.random()
 
 
 def test_random_h_instance_is_deterministic_and_valid():

@@ -6,7 +6,7 @@ import sys
 import time
 import traceback
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +23,7 @@ from gamma2 import (
     is_k_dominating,
     triple_cover_holds,
 )
+from gamma2 import solvers
 from gamma2.constructions import (
     complete,
     cycle,
@@ -32,6 +33,7 @@ from gamma2.constructions import (
     star,
 )
 from gamma2.graph import components, induced_subgraph
+from gamma2.recognition import perfect_oracle
 from gamma2.solvers import (
     _LOOKAHEAD,
     BRUTE_FORCE_VERTEX_LIMIT,
@@ -47,6 +49,7 @@ from gamma2.verify import (
     UNSAT_COVERED_6,
     UNSAT_COVERED_7,
     covered_formula,
+    h_instance_stream,
     random_formula,
 )
 
@@ -499,6 +502,64 @@ def test_gamma_eq_gamma2_table_is_keyed_on_the_whole_adjacency():
     assert gamma_eq_gamma2_masks(masks, [k23_mask])
     assert not gamma_eq_gamma2_masks(masks, [house_mask])
     assert not gamma_eq_gamma2_masks(masks, [k23_mask, house_mask])
+
+
+def _deepening_graphs():
+    """Sparse G(14..22, p) and subdivision instances with gamma >= 5 and
+    gamma at least two above the counting bound n / (max degree + 1): the
+    k = 1 search that finds gamma has a cap whose root the completion
+    lookahead cannot decide."""
+    rng = random.Random("deepening")
+    drawn = [
+        random_graph(rng, rng.randint(14, 22), rng.choice([0.1, 0.15, 0.2]))
+        for _ in range(60)
+    ]
+    drawn += [inst.g for inst in islice(h_instance_stream(5), 60)]
+    for g in drawn:
+        gamma = gamma_k(g, 1).number
+        if gamma >= max(5, -(-g.n // (g.max_degree() + 1)) + 2):
+            yield g
+
+
+def test_gamma_eq_gamma2_decision_deepens_to_gamma(monkeypatch):
+    graphs = list(_deepening_graphs())
+    raises = []
+    solve = _solve_component
+
+    def recording(adj, k, cap=None):
+        size, mask = solve(adj, k, cap)
+        if k == 1 and size > cap:
+            raises[-1] += 1
+        return size, mask
+
+    monkeypatch.setattr(solvers, "_solve_component", recording)
+    verdicts = []
+    for g in graphs:
+        raises.append(0)
+        verdicts.append(is_gamma_gamma2_graph(g))
+    monkeypatch.undo()
+    assert verdicts == [
+        gamma_k(g, 1).number == gamma_k(g, 2).number for g in graphs
+    ]
+    assert len(graphs) >= 40 and 0 < sum(verdicts) < len(graphs)
+    # A connected graph's first cap is its counting bound, so a gamma two
+    # above it is reached after at least two raises.
+    connected = [r for g, r in zip(graphs, raises) if len(components(g)) == 1]
+    assert len(connected) >= 10 and min(connected) >= 2
+
+
+def test_gamma_eq_gamma2_decision_never_builds_the_greedy(monkeypatch):
+    def greedy(adj, k):
+        raise AssertionError("the decision built a greedy bound")
+
+    graphs = list(islice(_deepening_graphs(), 10)) + [cycle(4), cycle(5)]
+    verdicts = [gamma_k(g, 1).number == gamma_k(g, 2).number for g in graphs]
+    k2_11 = from_edges(13, [(u, v) for u in (0, 1) for v in range(2, 13)])
+    monkeypatch.setattr(solvers, "_greedy_cover_mask", greedy)
+    assert [is_gamma_gamma2_graph(g) for g in graphs] == verdicts
+    assert perfect_oracle(k2_11)
+    with pytest.raises(AssertionError, match="greedy"):
+        gamma_k(cycle(5), 1)
 
 
 def _check_capped_search(g, k, caps):

@@ -57,7 +57,7 @@ def test_different_seeds_change_streams(monkeypatch):
     assert streams[0][3:] != streams[1][3:]
 
 
-# What six checks draw for seeds 0-3, keyed as run_verify keys them.  A
+# What eight checks draw for seeds 0-3, keyed as run_verify keys them.  A
 # change to a sampler that alters an instance must update the digest and
 # say so.
 SAMPLED_DIGESTS = {
@@ -65,10 +65,14 @@ SAMPLED_DIGESTS = {
         "1fa9feb93884cc020690081bfd42ee759b7146832f73526cfafb327bb951c514",
     "matching-oracle":
         "ff73c9dc9cbe8854e9b6b24d1fcc27e11bba51343d223450ad807b050cbe8825",
+    "min-2domset-independence":
+        "4f1574dc47170a76a56a099a55be1c232ff7db82b5b325a553476aaa1ff845e5",
     "min-degree-necessity":
         "5b44a933ea927a782f94b67e5814da4c1183057569e78e301d9baee32cb4af04",
     "perfect-triple-agreement":
         "b67f8f992bed6bd3d9e02a9d01823879ee572d5cf5c857764b6a5daccbd2ac04",
+    "private-pair-structure":
+        "e6405cf87cebbaa99bc381f9a2432f616d3d0728a4dd826ab85e3537e8dbc396",
     "specified-set-2domination":
         "e512f76d2d327d7a5cd58c23f3019efe3dacaad0e8fe25315d4514f71e2deea4",
     "underlying-roundtrip":

@@ -5,16 +5,19 @@ neighbours inside D; gamma_k is the minimum size of such a set.
 
 ``gamma_k`` works on the graph's adjacency bitmasks from start to
 finish: ``_components`` floods the components on the masks, and no
-``Graph`` is built per component.  Each component gets a
-branch-and-bound search.  It starts from a greedy upper bound,
-propagates forced choices at each node, and prunes with three lower
-bounds.  First come needy vertices with pairwise disjoint option pools,
-and the counting bound: one more vertex meets at most (max degree + k)
-units of outstanding need, which gives gamma_k >= kn / (max degree + k)
-at the root (Fink and Jacobson 1985).  Then the completion lookahead,
-which runs only where at most t <= ``_LOOKAHEAD`` more picks could still
-beat the incumbent: it prunes when no set of at most t undecided
-vertices finishes every needy vertex (``_picks_finish``).
+``Graph`` is built per component.  Every exact search is one decision,
+``_solve_component(adj, k, cap)``: is there a k-dominating set of at most
+``cap`` vertices?  It returns the first such set it reaches, as a mask,
+or 0.  It propagates forced choices at each node, and prunes against the
+fixed cap with three lower bounds.  First come needy vertices with
+pairwise disjoint option pools, and the counting bound: one more vertex
+meets at most (max degree + k) units of outstanding need, which gives
+gamma_k >= kn / (max degree + k) at the root (Fink and Jacobson 1985).
+Then the completion lookahead, which runs only where at most
+t <= ``_LOOKAHEAD`` more picks fit under the cap: it prunes when no set
+of at most t undecided vertices finishes every needy vertex
+(``_picks_finish``), and when one does, the search returns the node's
+set plus those picks.
 Each node carries coverage levels, bit masks of the vertices with more
 than j chosen neighbours for j below min(k, max degree + 1), so a node
 visits only its still-needy vertices, not all n, and adding a vertex
@@ -27,23 +30,21 @@ its depth does not depend on the interpreter's recursion limit.
 ``gamma_k_bruteforce`` enumerates subsets by increasing size and is the
 independent oracle used to validate it on small graphs.
 
-Where only the verdict gamma = gamma_2 is read (``is_gamma_gamma2_graph``,
-and ``perfect_oracle`` on each vertex subset), ``gamma_eq_gamma2_masks``
-decides it over the same components with capped searches alone, and
-builds no greedy set.  A search capped at c starts from the incumbent
-c + 1 and stops at the first set of at most c vertices: at the first
-node whose completion lookahead finds picks that finish it, it returns
-that node's set plus those picks.  The k = 1 cap starts at the counting
+The optima come from chains of decisions.  ``gamma_k`` lowers the cap:
+it starts from a greedy set and asks for a set one smaller than the best
+so far until the decision fails, so the last set found (or the greedy
+set) is the witness and the failed decision proves it minimum.  Where
+only the verdict gamma = gamma_2 is read (``is_gamma_gamma2_graph``, and
+``perfect_oracle`` on each vertex subset), ``gamma_eq_gamma2_masks``
+raises it and builds no greedy set: the k = 1 cap starts at the counting
 bound |C| / (max degree + 1) and rises while no dominating set fits, so
 the first that fits is gamma(C); then a k = 2 search capped at gamma(C)
 asks for a 2-dominating set of gamma(C) vertices.  gamma_2 >= gamma, so
-that set exists iff they are equal.  Every lower bound holds for any
-incumbent, so the verdict is the one the two optima give.  The greedy
-set stays the incumbent of ``gamma_k`` alone.  The decision takes the
-vertex masks to decide and keeps its own table of component verdicts
-for the call, keyed by the relabelled adjacency, so within one
-``perfect_oracle`` call a component whose rows recur across subsets, the
-same graph, is decided once.
+that set exists iff they are equal.  The decision takes the vertex masks
+to decide and keeps its own table of component verdicts for the call,
+keyed by the relabelled adjacency, so within one ``perfect_oracle`` call
+a component whose rows recur across subsets, the same graph, is decided
+once.
 """
 
 from __future__ import annotations
@@ -148,17 +149,15 @@ def _bit_list(mask: int) -> list[int]:
     return bits
 
 
-def _solve_component(
-    adj: Sequence[int], k: int, cap: Optional[int] = None
-) -> tuple[int, int]:
-    """Minimum k-dominating set of one component given bitmask adjacency.
+def _solve_component(adj: Sequence[int], k: int, cap: int) -> int:
+    """A k-dominating set of at most ``cap`` vertices of one component
+    given bitmask adjacency, as a bitmask, or 0 when there is none.
 
-    Returns (size, chosen_mask).  With ``cap`` the search answers a
-    decision instead: it starts from the incumbent ``cap + 1`` rather than
-    the greedy set and returns the first k-dominating set it reaches, which
-    has at most ``cap`` vertices, or (cap + 1, 0) when there is none.  It
-    reaches one at the first node where the completion lookahead finds
-    picks that finish it, and returns chosen plus those picks there.
+    The search is a decision against the fixed ``cap``: every prune asks
+    whether a node can still finish within it, and the first set it
+    reaches is returned, at a leaf or at the first node where the
+    completion lookahead finds picks that finish it (chosen plus those
+    picks).  A component has at least one vertex, so a set is never 0.
     The search is deterministic: branch
     vertices and propagation order depend only on vertex indices.  Search
     nodes sit on one explicit stack as (chosen, excluded, levels, added).
@@ -175,23 +174,13 @@ def _solve_component(
 
     A node that propagation leaves unfinished meets three lower bounds in
     turn: the disjoint option pools, the counting bound, and the
-    completion lookahead.  The last runs only where t = best - 1 - size
-    picks left is at most ``_LOOKAHEAD``: the pass ANDs the one-pick sets
-    of the needy vertices, and when no single vertex finishes the node,
-    ``_picks_finish`` looks for at most t that do.  Each is a pure lower
-    bound and the branch order depends only on vertex indices, so the
-    bounds change how many nodes are searched, never which optimum and
-    witness come out.  Only a capped search reads the picks found: the
-    uncapped one branches on, so its witness stays the one the branch
-    order gives.
+    completion lookahead.  The last runs only where t = cap - size picks
+    left is at most ``_LOOKAHEAD``: the pass ANDs the one-pick sets of the
+    needy vertices, and when no single vertex finishes the node,
+    ``_picks_finish`` looks for at most t that do.
     """
     n = len(adj)
     full = (1 << n) - 1
-    if cap is None:
-        best_mask = _greedy_cover_mask(adj, k)
-        best = best_mask.bit_count()
-    else:
-        best, best_mask = cap + 1, 0
     degree = max(mask.bit_count() for mask in adj)
     # One more vertex u in D meets at most deg(u) + k units of need.
     reach = degree + k
@@ -200,7 +189,7 @@ def _solve_component(
     while stack:
         chosen, excluded, levels, added = stack.pop()
         size = chosen.bit_count()
-        if size >= best:
+        if size > cap:
             continue
         if added:
             levels = levels[:]
@@ -224,9 +213,9 @@ def _solve_component(
         pools: list[tuple[int, int, int, int, int]] = []
         # The one-pick set of a needy v: its undecided neighbours if it
         # needs one more, plus v itself unless excluded.  Only near the
-        # incumbent, where at most ``_LOOKAHEAD`` more picks could beat it,
-        # does the pass AND these sets.
-        picks = best - 1 - size
+        # cap, where at most ``_LOOKAHEAD`` more picks fit under it, does
+        # the pass AND these sets.
+        picks = cap - size
         near = picks <= _LOOKAHEAD
         one = full
         rest = needy
@@ -263,11 +252,7 @@ def _solve_component(
             stack.append((chosen | forced, excluded, levels, forced))
             continue
         if not needy:
-            if cap is not None:
-                return size, chosen
-            best = size
-            best_mask = chosen
-            continue
+            return chosen
 
         # Lower bound: needy vertices with pairwise disjoint option
         # pools, smallest pools first, require that many separate
@@ -279,17 +264,16 @@ def _solve_component(
                 continue
             used |= options
             bound += pool_need
-        if size + bound >= best:
+        if size + bound > cap:
             continue
         # Counting bound: kn / (max degree + k) at the root.
-        if size - (-outstanding // reach) >= best:
+        if size - (-outstanding // reach) > cap:
             continue
 
         # Completion lookahead: the node is cut unless some set of at most
         # ``picks`` undecided vertices finishes it.  The bounds above have
         # cut every node with no picks left, so here picks >= 1 and
-        # chosen | found has at most ``cap`` vertices: a capped search
-        # returns it.
+        # chosen | found has at most ``cap`` vertices.
         if near:
             found = one & -one or picks > 1 and _picks_finish(
                 adj,
@@ -300,8 +284,7 @@ def _solve_component(
             )
             if not found:
                 continue
-            if cap is not None:
-                return size + found.bit_count(), chosen | found
+            return chosen | found
 
         # Branch on the most constrained vertex's most useful option.
         pivot, pivot_score = -1, -1
@@ -313,7 +296,7 @@ def _solve_component(
         # Pushed last, the include child is searched first.
         stack.append((chosen, excluded | bit, levels, 0))
         stack.append((chosen | bit, excluded, levels, bit))
-    return best, best_mask
+    return 0
 
 
 def _picks_finish(
@@ -424,8 +407,8 @@ def gamma_eq_gamma2_masks(adj: Sequence[int], subsets: Iterable[int]) -> bool:
     """Whether gamma = gamma_2 on the subgraph induced on every vertex mask
     of ``subsets``; stops at the first one where they differ.
 
-    Decided per component from ``_components`` by capped searches only:
-    the k = 1 search capped at c, for c from the counting bound
+    Decided per component from ``_components`` by rising caps: the
+    k = 1 search capped at c, for c from the counting bound
     ceil(|C| / (max degree + 1)) up until one finds a dominating set,
     which makes c = gamma(C); then a search at k = 2 capped at gamma(C)
     asks only whether some 2-dominating set of gamma(C) vertices exists.
@@ -442,9 +425,9 @@ def gamma_eq_gamma2_masks(adj: Sequence[int], subsets: Iterable[int]) -> bool:
             if equal is None:
                 # From the counting bound up: the first cap that fits is gamma.
                 gamma = -(-len(sub) // (max(map(int.bit_count, sub)) + 1))
-                while _solve_component(sub, 1, gamma)[0] > gamma:
+                while not _solve_component(sub, 1, gamma):
                     gamma += 1
-                equal = decided[key] = _solve_component(sub, 2, gamma)[0] == gamma
+                equal = decided[key] = bool(_solve_component(sub, 2, gamma))
             if not equal:
                 return False
     return True
@@ -453,17 +436,23 @@ def gamma_eq_gamma2_masks(adj: Sequence[int], subsets: Iterable[int]) -> bool:
 def gamma_k(g: Graph, k: int) -> DominationResult:
     """Exact k-domination number with a deterministic witness.
 
-    Each component from ``_components`` is solved on its own, and its
-    witness is mapped back to ``g``'s labels through the component's
-    vertices; the empty graph has gamma_k = 0.
+    Each component from ``_components`` is solved on its own by a falling
+    chain of decisions: from the greedy set, the search capped one below
+    the best set so far runs until it finds none.  The last set found, or
+    the greedy set when the first decision fails, is the witness, mapped
+    back to ``g``'s labels through the component's vertices, and the
+    failed decision is the proof that it is minimum.  The empty graph has
+    gamma_k = 0.
     """
     check_int("k", k, 1)
     number = 0
     witness: list[int] = []
     for vertices, sub in _components(g.adjacency_masks(), (1 << g.n) - 1):
-        size, mask = _solve_component(sub, k)
-        number += size
-        witness += [vertices[i] for i in _bit_list(mask)]
+        best = _greedy_cover_mask(sub, k)
+        while found := _solve_component(sub, k, best.bit_count() - 1):
+            best = found
+        number += best.bit_count()
+        witness += [vertices[i] for i in _bit_list(best)]
     return DominationResult(k, number, frozenset(witness))
 
 

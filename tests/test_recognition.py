@@ -501,8 +501,9 @@ def test_perfect_oracle_small_cases():
 def _reference_perfect_oracle(g):
     """The definition ``perfect_oracle`` must reproduce: an induced
     ``Graph`` per vertex subset, and both optima of each one of minimum
-    degree >= 2 (two uncapped solves, not the decision route that
-    ``perfect_oracle`` itself takes)."""
+    degree >= 2 (two ``gamma_k`` optima, each lowered from the greedy set,
+    not the rising caps of the decision route that ``perfect_oracle``
+    itself takes)."""
     for size in range(3, g.n + 1):
         for subset in combinations(range(g.n), size):
             sub, _ = induced_subgraph(g, subset)

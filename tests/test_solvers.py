@@ -250,9 +250,26 @@ def test_picks_finish_matches_enumeration():
     assert answers == {(t, e) for t in range(2, _LOOKAHEAD + 1) for e in (False, True)}
 
 
+def _pinned_digests(cases):
+    """(numbers digest, numbers-and-witnesses digest) of gamma_k over
+    ``cases``, checking on the way that each witness is a k-dominating set
+    of gamma_k vertices.  The numbers are pinned apart from the witnesses:
+    a change of search order may move a witness to another minimum set,
+    but never a number."""
+    numbers = hashlib.sha256()
+    witnesses = hashlib.sha256()
+    for g, k in cases:
+        result = gamma_k(g, k)
+        assert is_k_dominating(g, result.witness, k), (g.edge_list(), k)
+        assert len(result.witness) == result.number, (g.edge_list(), k)
+        numbers.update(f"{result.number};".encode())
+        witnesses.update(f"{result.number}:{sorted(result.witness)};".encode())
+    return numbers.hexdigest(), witnesses.hexdigest()
+
+
 def test_witnesses_are_pinned():
     # gamma_k's numbers and witnesses on a seeded corpus: a change that
-    # alters any of them must update this digest and say so.
+    # alters any of them must update its digest and say so.
     rng = random.Random(2019)
     graphs = [
         random_graph(rng, rng.randint(1, 20), rng.choice([0.1, 0.2, 0.3, 0.5]))
@@ -260,19 +277,16 @@ def test_witnesses_are_pinned():
     ]
     cases = [(g, k) for g in graphs for k in (1, 2, 3)]
     cases += [(cycle(n), k) for n in range(3, 31) for k in (1, 2)]
-    digest = hashlib.sha256()
-    for g, k in cases:
-        result = gamma_k(g, k)
-        digest.update(f"{result.number}:{sorted(result.witness)};".encode())
-    assert digest.hexdigest() == (
-        "57253c128b031fb91e8c49563f288e26ac335f11b4c94a81d4d9c9bdf9032d6c"
+    assert _pinned_digests(cases) == (
+        "8c8284fc22bb0d8be4101d91631524b492ebaabe430d2cc3bac0f82e7dec4615",
+        "ba12a9a49b49a358837e57008c7267cbbfed9ffc3e84e7cfedaa79a3577656ae",
     )
 
 
 def test_witnesses_are_pinned_on_3sat_reductions():
     # The corpus above stops at 20 vertices; these reduction graphs have
     # 36-64, where the search is longest.  Same rule: a change that alters
-    # a number or witness must update the digest and say so.
+    # a number or witness must update its digest and say so.
     rng = random.Random(2019)
     formulas = [UNSAT_COVERED_6, UNSAT_COVERED_7]
     formulas += [covered_formula(rng, v) for v in (6, 7)]
@@ -283,13 +297,9 @@ def test_witnesses_are_pinned_on_3sat_reductions():
     assert [cnf_satisfiable(f) is not None for f in formulas].count(False) == 6
     graphs = [reduce_3sat(f).instance.g for f in formulas]
     assert min(g.n for g in graphs) == 36 and max(g.n for g in graphs) == 64
-    digest = hashlib.sha256()
-    for g in graphs:
-        for k in (1, 2):
-            result = gamma_k(g, k)
-            digest.update(f"{result.number}:{sorted(result.witness)};".encode())
-    assert digest.hexdigest() == (
-        "a04e8187972c53461c8e4908bcbed229a80e8e7c208c3a08ce04dc3017abc4a0"
+    assert _pinned_digests([(g, k) for g in graphs for k in (1, 2)]) == (
+        "b111e51236df2b46b46e666eb2d4fe0e111b042846e64406dece4834d07d3a2a",
+        "07d0708ddafda10e50468e58713bd68d8c4460ee6aa3093d98a793283853bda3",
     )
 
 
@@ -378,7 +388,7 @@ def test_flood_and_component_walk_agree_with_components_on_partial_masks():
 
 def test_witnesses_are_pinned_on_many_components():
     # Each component is relabelled and solved on its own; witnesses must
-    # map back to the same host vertices.  Same rule as above for the digest.
+    # map back to the same host vertices.  Same rule as above for the digests.
     rng = random.Random(2020)
     graphs = [
         _many_part_graph(rng, rng.randint(10, 20), rng.randint(0, 5))
@@ -386,13 +396,9 @@ def test_witnesses_are_pinned_on_many_components():
     ]
     assert min(len(components(g)) for g in graphs) >= 10
     graphs += [from_edges(n, []) for n in (0, 1, 7)]
-    digest = hashlib.sha256()
-    for g in graphs:
-        for k in (1, 2):
-            result = gamma_k(g, k)
-            digest.update(f"{result.number}:{sorted(result.witness)};".encode())
-    assert digest.hexdigest() == (
-        "66eff216514810cb7c1cde177648ece4dc0ac90574530243e227e781d18c6b2c"
+    assert _pinned_digests([(g, k) for g in graphs for k in (1, 2)]) == (
+        "ac8bef0f7ea461e2c0a69b222d102204441c079afda2caa63170c2a49b200ef8",
+        "26479d57269f107e16988b982844257fc70ba527e2b9e12df6dd6d5cbe333350",
     )
 
 
@@ -526,11 +532,11 @@ def test_gamma_eq_gamma2_decision_deepens_to_gamma(monkeypatch):
     raises = []
     solve = _solve_component
 
-    def recording(adj, k, cap=None):
-        size, mask = solve(adj, k, cap)
-        if k == 1 and size > cap:
+    def recording(adj, k, cap):
+        mask = solve(adj, k, cap)
+        if k == 1 and not mask:
             raises[-1] += 1
-        return size, mask
+        return mask
 
     monkeypatch.setattr(solvers, "_solve_component", recording)
     verdicts = []
@@ -566,12 +572,12 @@ def _check_capped_search(g, k, caps):
     adj = g.adjacency_masks()
     optimum = gamma_k_bruteforce(g, k).number
     for cap in caps:
-        size, mask = _solve_component(adj, k, cap)
+        mask = _solve_component(adj, k, cap)
         if optimum <= cap:
             assert _bit_is_k_dominating(adj, mask, k)
-            assert size == mask.bit_count() <= cap
+            assert 0 < mask.bit_count() <= cap
         else:
-            assert (size, mask) == (cap + 1, 0)
+            assert mask == 0
 
 
 def test_capped_search_answers_whether_gamma_k_is_at_most_the_cap():
@@ -587,6 +593,50 @@ def test_capped_search_answers_whether_gamma_k_is_at_most_the_cap():
     for v, g in _small_3sat_reductions():
         for k in (1, 2):
             _check_capped_search(g, k, range(v, v + 3))
+
+
+def _falling_chain_cases():
+    """(connected graph, k, greedy size, gamma_k, caps gamma_k decides)."""
+    p5 = from_edges(5, [(0, 1), (0, 2), (1, 4), (2, 3)])  # centre first
+    sat = reduce_3sat(covered_formula(random.Random(1), 7)).instance.g
+    yield p5, 1, 3, 2, [2, 1]
+    yield sat, 1, 9, 8, [8, 7]
+    yield sat, 2, 10, 9, [9, 8]
+    # The greedy set is optimal on cycles: one decision, which fails.
+    for n in range(3, 31):
+        for k in (1, 2):
+            gamma = -(-k * n // (2 + k))
+            yield cycle(n), k, gamma, gamma, [gamma - 1]
+
+
+def test_gamma_k_is_a_falling_chain_of_decisions(monkeypatch):
+    # From the greedy set, each decision is capped one below the last set
+    # found; the first that fails proves the last set (or the greedy set)
+    # minimum, and that set is the witness.
+    calls = []
+    solve = _solve_component
+
+    def recording(adj, k, cap):
+        calls.append((cap, solve(adj, k, cap)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(solvers, "_solve_component", recording)
+    for g, k, greedy_size, gamma, caps in _falling_chain_cases():
+        assert len(components(g)) == 1
+        calls.clear()
+        result = gamma_k(g, k)
+        adj = g.adjacency_masks()
+        best = _greedy_cover_mask(adj, k)
+        assert (best.bit_count(), result.number) == (greedy_size, gamma)
+        assert [cap for cap, _ in calls] == caps
+        for cap, mask in calls:
+            assert cap == best.bit_count() - 1
+            if mask:
+                assert _bit_is_k_dominating(adj, mask, k)
+                assert mask.bit_count() <= cap
+                best = mask
+        assert calls[-1][1] == 0
+        assert result.witness == {v for v in range(g.n) if best >> v & 1}
 
 
 def test_gamma_k_requires_positive_k():

@@ -9,6 +9,7 @@ One binary, subcommand style::
     gamma2 recognize h inst.json       # matching-based equality decision
     gamma2 recognize perfect graph.txt # hereditary-equality recognizer
     gamma2 oracle gamma-eq graph.txt   # exact gamma vs gamma_2, small graphs
+    gamma2 oracle perfect graph.txt    # definitional hereditary oracle
     gamma2 reduce formula.cnf          # 3-SAT to domination-gap instance
     gamma2 verify --seed 0             # run every cross-validation suite
 

@@ -186,10 +186,11 @@ class BWitness:
     def pattern(self) -> Pattern:
         """D: the ends of both D-edges.  Not D: both pairs.  Edges: each
         pair vertex to both ends of its D-edge, and the bridge
-        x1[0] -- x2[0]."""
+        x1[0] -- x2[0].  A pair of other than two vertices raises."""
+        (bridge1, _), (bridge2, _) = self.x1, self.x2
         sides = ((self.v1, self.u1, self.x1), (self.v2, self.u2, self.x2))
         edges = [(a, x) for v, u, pair in sides for x in pair for a in (v, u)]
-        edges.append((self.x1[0], self.x2[0]))
+        edges.append((bridge1, bridge2))
         return [self.v1, self.u1, self.v2, self.u2], [*self.x1, *self.x2], edges
 
     def certificate(self) -> str:
@@ -235,8 +236,12 @@ def check_witness(g: Graph, d: frozenset[int], witness: Witness) -> bool:
     """Replay the pattern a witness states: distinct int vertices of
     ``g``, at least three of them in D (a bridge has four, a ring its
     centre and two or more spoke ends), every vertex on its stated side of
-    D, and every required edge in ``g``.  A malformed witness is False."""
-    in_d, out_d, edges = witness.pattern()
+    D, and every required edge in ``g``.  A malformed witness is False,
+    a field of the wrong arity or type included."""
+    try:
+        in_d, out_d, edges = witness.pattern()
+    except (IndexError, TypeError, ValueError):
+        return False
     vs = in_d + out_d
     return (
         all(type(v) is int and 0 <= v < g.n for v in vs)

@@ -5,16 +5,18 @@ solver vs subset enumeration, structural recognizer vs definitional
 oracle, and so on) over seeded random instances plus fixed fixtures.
 ``run_verify`` is deterministic for a fixed seed: every check draws from
 its own RNG keyed by (seed, check name), so filtering by scope never
-shifts the streams.
+shifts the streams.  A body yields ``(ok, instance)`` for each instance it
+checked; only the first failing instance of a check is rendered as text.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
 from . import constructions, formats
 from .constructions import (
@@ -61,6 +63,8 @@ from .solvers import (
 )
 
 T = TypeVar("T")
+#: What a check body yields beside each verdict: the object it checked.
+Instance = Union[Graph, PartitionedInstance, CnfFormula]
 
 
 @dataclass(frozen=True)
@@ -102,20 +106,12 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps(
             {
                 "seed": self.seed,
                 "ok": self.ok,
                 "checks": [
-                    {
-                        "name": c.name,
-                        "instances": c.instances,
-                        "passed": c.passed,
-                        "counterexample": c.counterexample,
-                        "seconds": round(c.seconds, 3),
-                    }
+                    {**asdict(c), "seconds": round(c.seconds, 3)}
                     for c in self.checks
                 ],
             },
@@ -260,7 +256,7 @@ def _fixtures_then_samples(
         yield fixtures[i - 1] if i <= len(fixtures) else sample(i)
 
 
-def _check_matching_oracle(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
+def _check_matching_oracle(rng: random.Random, budget: int) -> Iterator[tuple[bool, Instance]]:
     def sample(_: int) -> Graph:
         # inside the exhaustive oracle's edge cap
         return _draw(rng, (1, 12), (0.2, 0.35, 0.5),
@@ -276,10 +272,10 @@ def _check_matching_oracle(rng: random.Random, budget: int) -> Iterator[tuple[bo
             if not g.has_edge(u, v) or u in seen or v in seen:
                 ok = False
             seen.update((u, v))
-        yield ok, formats.graph_to_text(g)
+        yield ok, g
 
 
-def _check_gamma_lower_bound(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
+def _check_gamma_lower_bound(rng: random.Random, budget: int) -> Iterator[tuple[bool, Instance]]:
     # For max degree >= k >= 2: gamma_k >= gamma + k - 2.  Graphs of
     # maximum degree below 2 test nothing, so they are drawn again.
     for _ in range(budget):
@@ -290,7 +286,7 @@ def _check_gamma_lower_bound(rng: random.Random, budget: int) -> Iterator[tuple[
             if g.max_degree() >= k:
                 if gamma_k(g, k).number < base + k - 2:
                     ok = False
-        yield ok, formats.graph_to_text(g)
+        yield ok, g
 
 
 def _equality_graphs(rng: random.Random, budget: int) -> Iterator[Graph]:
@@ -299,21 +295,21 @@ def _equality_graphs(rng: random.Random, budget: int) -> Iterator[Graph]:
                     lambda g: is_connected(g) and is_gamma_gamma2_graph(g))
 
 
-def _check_min_degree_necessity(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
+def _check_min_degree_necessity(rng: random.Random, budget: int) -> Iterator[tuple[bool, Instance]]:
     # Connected non-trivial graphs with gamma == gamma_2 have min degree >= 2.
     for g in _equality_graphs(rng, budget):
-        yield g.min_degree() >= 2, formats.graph_to_text(g)
+        yield g.min_degree() >= 2, g
 
 
-def _check_min_2domset_independence(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
+def _check_min_2domset_independence(rng: random.Random, budget: int) -> Iterator[tuple[bool, Instance]]:
     for g in _equality_graphs(rng, budget):
         ok = all(
             is_independent(g, dd) for dd in enumerate_min_k_dominating(g, 2)
         )
-        yield ok, formats.graph_to_text(g)
+        yield ok, g
 
 
-def _check_private_pair_structure(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
+def _check_private_pair_structure(rng: random.Random, budget: int) -> Iterator[tuple[bool, Instance]]:
     # In an equality graph, for any two members of a minimum 2-dominating
     # set with a common neighbour there are two non-adjacent outside
     # vertices seeing exactly those two in D; together they induce a C4.
@@ -340,10 +336,10 @@ def _check_private_pair_structure(rng: random.Random, budget: int) -> Iterator[t
                     break
             if not ok:
                 break
-        yield ok, formats.graph_to_text(g)
+        yield ok, g
 
 
-def _check_specified_set_2domination(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
+def _check_specified_set_2domination(rng: random.Random, budget: int) -> Iterator[tuple[bool, Instance]]:
     # Built instances whose supplementary vertices see exactly two
     # D-vertices have gamma_2 == |V(F)|, witnessed by D itself.
     for _ in range(budget):
@@ -353,34 +349,28 @@ def _check_specified_set_2domination(rng: random.Random, budget: int) -> Iterato
             is_k_dominating(inst.g, inst.d, 2)
             and gamma_k(inst.g, 2).number == spec.f.n
         )
-        yield ok, formats.instance_to_json(inst)
+        yield ok, inst
 
 
-def _check_join_c4_collapse(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
+def _check_join_c4_collapse(rng: random.Random, budget: int) -> Iterator[tuple[bool, Instance]]:
     def sample(_: int) -> Graph:
         return random_graph(rng, rng.randint(1, 6), 0.4)
 
     for f in _fixtures_then_samples(all_four_vertex_graphs(), sample, budget):
         g = join_c4(f)
-        yield (
-            gamma_k(g, 1).number == 2 and gamma_k(g, 2).number == 2,
-            formats.graph_to_text(g),
-        )
+        yield gamma_k(g, 1).number == 2 and gamma_k(g, 2).number == 2, g
 
 
-def _check_underlying_roundtrip(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
+def _check_underlying_roundtrip(rng: random.Random, budget: int) -> Iterator[tuple[bool, Instance]]:
     # The square of the built graph induced on D recovers the underlying
     # graph exactly (canonical numbering makes this graph equality).
     for _ in range(budget):
         spec = random_spec(rng, (0.4, 0.6, 0.8), (2, 3), 0.1)
         inst = build(spec)
-        yield (
-            extract_underlying(inst.g, inst.d) == spec.f,
-            formats.instance_to_json(inst),
-        )
+        yield extract_underlying(inst.g, inst.d) == spec.f, inst
 
 
-def _check_recognition_cross_validation(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
+def _check_recognition_cross_validation(rng: random.Random, budget: int) -> Iterator[tuple[bool, Instance]]:
     # Both verdicts among the fixtures: double subdivisions are equality
     # graphs, the bridge and ring gadgets are not.
     fixtures = [double_subdivision(f) for f in (path(3), star(4), cycle(5))]
@@ -394,10 +384,10 @@ def _check_recognition_cross_validation(rng: random.Random, budget: int) -> Iter
         if not verdict.equal:
             ok = ok and verdict.witness is not None
             ok = ok and check_witness(inst.g, inst.d, verdict.witness)
-        yield ok, formats.instance_to_json(inst)
+        yield ok, inst
 
 
-def _check_sat_reduction(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
+def _check_sat_reduction(rng: random.Random, budget: int) -> Iterator[tuple[bool, Instance]]:
     # (formula, whether the triple-cover equivalence must hold)
     def sample(i: int) -> tuple[CnfFormula, bool]:
         if i % 3 == 0:
@@ -417,7 +407,7 @@ def _check_sat_reduction(rng: random.Random, budget: int) -> Iterator[tuple[bool
             ok = ok and gamma <= k + 1
         if require_equivalence:
             ok = ok and red.triple_cover and (sat == (gamma < k + 2))
-        yield ok, formats.cnf_to_text(f)
+        yield ok, f
 
 
 def perfect_fixtures() -> list[Graph]:
@@ -445,7 +435,7 @@ def perfect_fixtures() -> list[Graph]:
     return fixtures
 
 
-def _check_perfect_triple_agreement(rng: random.Random, budget: int) -> Iterator[tuple[bool, str]]:
+def _check_perfect_triple_agreement(rng: random.Random, budget: int) -> Iterator[tuple[bool, Instance]]:
     def sample(_: int) -> Graph:
         return _draw(rng, (4, 10), (0.3, 0.4, 0.5),
                      lambda g: is_connected(g) and g.min_degree() >= 2)
@@ -454,7 +444,7 @@ def _check_perfect_triple_agreement(rng: random.Random, budget: int) -> Iterator
         structural = recognize_perfect(g).perfect
         forbidden = forbidden_subgraph_check(g)
         oracle = perfect_oracle(g)
-        yield structural == forbidden == oracle, formats.graph_to_text(g)
+        yield structural == forbidden == oracle, g
 
 
 def _multiplicity_lists(total: int, k: int) -> Iterator[list[int]]:
@@ -474,7 +464,16 @@ def _multiplicity_lists(total: int, k: int) -> Iterator[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-_CHECKS: dict[str, tuple[Callable[[random.Random, int], Iterator[tuple[bool, str]]], int]] = {
+def _render(item: Instance) -> str:
+    """``item``'s text, by its exact type's serializer, looked up per call."""
+    return {
+        Graph: formats.graph_to_text,
+        PartitionedInstance: formats.instance_to_json,
+        CnfFormula: formats.cnf_to_text,
+    }[type(item)](item)
+
+
+_CHECKS: dict[str, tuple[Callable[[random.Random, int], Iterator[tuple[bool, Instance]]], int]] = {
     "gamma-k-lower-bound": (_check_gamma_lower_bound, 150),
     "join-c4-collapse": (_check_join_c4_collapse, 30),
     "matching-oracle": (_check_matching_oracle, 150),
@@ -520,12 +519,12 @@ def run_verify(
         instances = 0
         passed = 0
         counterexample = None
-        for ok, serialized in body(rng, count):
+        for ok, item in body(rng, count):
             instances += 1
             if ok:
                 passed += 1
             elif counterexample is None:
-                counterexample = serialized
+                counterexample = _render(item)
         results.append(
             CheckResult(
                 name=name,

@@ -20,7 +20,7 @@ from gamma2 import (
     reduce_3sat,
 )
 from gamma2.constructions import cycle
-from gamma2.verify import _CHECKS, perfect_fixtures
+from gamma2.verify import _CHECKS, _render, perfect_fixtures
 
 
 def _verdict(capsys, number, title, budget_s, body):
@@ -42,12 +42,13 @@ def _verdict(capsys, number, title, budget_s, body):
 
 def _run_check(name, number, count):
     """Run the ``gamma2 verify`` body of check ``name`` on ``count``
-    instances drawn from the criterion's own RNG; each must pass."""
+    instances drawn from the criterion's own RNG; each must pass.  A
+    failing instance is rendered only for the assertion message."""
     body, _ = _CHECKS[name]
     instances = 0
-    for ok, serialized in body(random.Random(f"acceptance:{number}"), count):
+    for ok, item in body(random.Random(f"acceptance:{number}"), count):
         instances += 1
-        assert ok, f"{name}, instance {instances}, counterexample:\n{serialized}"
+        assert ok, f"{name}, instance {instances}, counterexample:\n{_render(item)}"
     assert instances == count, f"{name} ran {instances} of {count} instances"
 
 

@@ -295,11 +295,11 @@ def test_verify_writes_counterexamples_on_failure(tmp_path, capsys, monkeypatch)
     import gamma2.verify as verify_mod
 
     def doomed(rng, budget):
-        yield False, "serialized counterexample"
+        yield False, cycle(5)
 
     monkeypatch.setitem(verify_mod._CHECKS, "doomed-check", (doomed, 1))
     out_dir = tmp_path / "ce"
     assert main(["verify", "--scope", "doomed", "--out", str(out_dir)]) == 1
     assert "FAIL" in capsys.readouterr().out
     written = out_dir / "doomed-check.counterexample.txt"
-    assert written.read_text() == "serialized counterexample"
+    assert written.read_text() == formats.graph_to_text(cycle(5))

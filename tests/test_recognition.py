@@ -261,6 +261,27 @@ def test_tampered_witness_fails_replay():
             ring_inst,
             replace(a, spokes=(([first[0]], *first[1:]), second, third)),
         ),
+        # malformed fields fail before the pattern can be read off them
+        "bridge pair of no vertices": (
+            bridge_inst, BWitness(0, 1, (), 2, 3, (6, 7)),
+        ),
+        "spoke of two vertices": (
+            ring_inst, AWitness(0, ((1, 4), (2, 6, 7))),
+        ),
+        "spoke of four vertices": (
+            ring_inst, replace(a, spokes=((*first, 0), second, third)),
+        ),
+        "spokes None": (ring_inst, replace(a, spokes=None)),
+        # the third vertex sees both ends of its D-edge, so every stated
+        # edge is present; only the arity of the pair is wrong
+        "bridge pair of three vertices": (
+            replace(bridge_inst, g=from_edges(
+                bridge_inst.g.n + 1,
+                bridge_inst.g.edge_list()
+                + [(b.v1, bridge_inst.g.n), (b.u1, bridge_inst.g.n)],
+            )),
+            replace(b, x1=(*b.x1, bridge_inst.g.n)),
+        ),
     }
     for rule, (inst, witness) in tampered.items():
         assert not check_witness(inst.g, inst.d, witness), rule

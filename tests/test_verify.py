@@ -8,7 +8,7 @@ import random
 import pytest
 
 from gamma2 import verify
-from gamma2.verify import _CHECKS, run_verify
+from gamma2.verify import _CHECKS, _render, run_verify
 
 
 def test_all_checks_pass_at_small_budget():
@@ -38,12 +38,12 @@ def test_reports_are_deterministic():
 
 def test_different_seeds_change_streams(monkeypatch):
     body, default_budget = _CHECKS["matching-oracle"]
-    yielded: list[str] = []
+    yielded = []
 
     def recording(rng, budget):
-        for ok, serialized in body(rng, budget):
-            yielded.append(serialized)
-            yield ok, serialized
+        for ok, item in body(rng, budget):
+            yielded.append(item)
+            yield ok, item
 
     monkeypatch.setitem(_CHECKS, "matching-oracle", (recording, default_budget))
     streams = []
@@ -57,9 +57,9 @@ def test_different_seeds_change_streams(monkeypatch):
     assert streams[0][3:] != streams[1][3:]
 
 
-# What eight checks draw for seeds 0-3, keyed as run_verify keys them.  A
-# change to a sampler that alters an instance must update the digest and
-# say so.
+# What eight checks draw for seeds 0-3, keyed as run_verify keys them and
+# rendered as a counterexample would be.  A change to a sampler that alters
+# an instance must update the digest and say so.
 SAMPLED_DIGESTS = {
     "gamma-k-lower-bound":
         "1fa9feb93884cc020690081bfd42ee759b7146832f73526cfafb327bb951c514",
@@ -85,9 +85,41 @@ def test_sampled_instances_are_pinned(name):
     body, budget = _CHECKS[name]
     h = hashlib.sha256()
     for seed in range(4):
-        for _, serialized in body(random.Random(f"{seed}:{name}"), budget):
-            h.update(serialized.encode() + b";")
+        for _, item in body(random.Random(f"{seed}:{name}"), budget):
+            h.update(_render(item).encode() + b";")
     assert h.hexdigest() == SAMPLED_DIGESTS[name]
+
+
+def test_only_the_first_failing_instance_is_rendered(monkeypatch):
+    rendered = []
+
+    def counting(serializer):
+        def count(item):
+            rendered.append(item)
+            return serializer(item)
+        return count
+
+    for name in ("graph_to_text", "instance_to_json", "cnf_to_text"):
+        monkeypatch.setattr(
+            verify.formats, name, counting(getattr(verify.formats, name))
+        )
+    assert run_verify(seed=0, budget=5).ok
+    assert rendered == []
+
+    body, budget = _CHECKS["join-c4-collapse"]
+    yielded = []
+
+    def second_and_third_fail(rng, count):
+        for i, (ok, item) in enumerate(body(rng, count), 1):
+            yielded.append(item)
+            yield ok and i not in (2, 3), item
+
+    monkeypatch.setitem(_CHECKS, "join-c4-collapse", (second_and_third_fail, budget))
+    (check,) = run_verify(scope="join", seed=0, budget=4).checks
+    assert (check.instances, check.passed) == (4, 2)
+    assert rendered == [yielded[1]]
+    assert yielded[1] != yielded[2]
+    assert check.counterexample == _render(yielded[1])
 
 
 def test_scope_prefix_filter():
@@ -149,6 +181,10 @@ def test_json_report_shape():
     assert doc["seed"] == 0
     assert doc["checks"][0]["name"] == "join-c4-collapse"
     assert doc["checks"][0]["passed"] == 2
+    for entry in doc["checks"]:
+        assert list(entry) == [
+            "name", "instances", "passed", "counterexample", "seconds",
+        ]
 
 
 def test_text_report_mentions_every_check():

@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 
 from . import formats
 from .constructions import (
-    PartitionedInstance,
     double_subdivision,
     gadget_a,
     gadget_b,
@@ -36,7 +35,6 @@ from .constructions import (
     random_h_instance,
     reduce_3sat,
 )
-from .graph import Graph
 from .matching import maximum_matching
 from .recognition import (
     PERFECT_ORACLE_VERTEX_LIMIT,
@@ -79,7 +77,7 @@ def _parse_multiplicities(raw: str) -> tuple[int, ...]:
 def _cmd_gen(args: argparse.Namespace) -> int:
     kind = args.kind
     if kind == "a":
-        product: PartitionedInstance | Graph = gadget_a(args.k)
+        product = gadget_a(args.k)
     elif kind == "b":
         product = gadget_b()
     elif kind == "t6":
@@ -91,26 +89,22 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     elif kind == "joinc4":
         product = join_c4(formats.parse_graph(_read(args.graph)))
     else:  # random-h
-        inst = random_h_instance(args.size, args.ep, args.sp, seed=args.seed)
-        if inst is None:
+        product = random_h_instance(args.size, args.ep, args.sp, seed=args.seed)
+        if product is None:
             print(
                 "no instance found within the attempt budget; "
                 "lower --ep or retry with another --seed",
                 file=sys.stderr,
             )
             return 1
-        product = inst
-    if isinstance(product, Graph):
-        _emit(formats.graph_to_text(product), args.out)
-    else:
-        _emit(formats.instance_to_json(product), args.out)
+    _emit(formats.to_text(product), args.out)
     return 0
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     formula = formats.parse_cnf(_read(args.cnf))
     reduction = reduce_3sat(formula)
-    _emit(formats.instance_to_json(reduction.instance), args.out)
+    _emit(formats.to_text(reduction.instance), args.out)
     if reduction.triple_cover:
         note = (
             "triple-cover precondition holds: "

@@ -1,7 +1,7 @@
 """Text formats: edge-list graphs, JSON instances, DIMACS CNF.
 
 Parsers raise :class:`ParseError` with the offending line number; every
-serializer round-trips through its parser.
+serializer round-trips through its parser, and :func:`to_text` picks one.
 """
 
 from __future__ import annotations
@@ -267,3 +267,17 @@ def cnf_to_text(f: CnfFormula) -> str:
     lines = [f"p cnf {f.num_vars} {len(f.clauses)}"]
     lines += [" ".join(str(lit) for lit in clause) + " 0" for clause in f.clauses]
     return "\n".join(lines) + "\n"
+
+
+def to_text(item: Graph | PartitionedInstance | CnfFormula) -> str:
+    """``item``'s text, by the serializer of its exact type.  The serializer
+    is looked up at each call, so a wrapper set on this module is the one
+    called; any other type raises ``TypeError``."""
+    serializer = {
+        Graph: graph_to_text,
+        PartitionedInstance: instance_to_json,
+        CnfFormula: cnf_to_text,
+    }.get(type(item))
+    if serializer is None:
+        raise TypeError(f"no text form for {type(item).__name__}")
+    return serializer(item)

@@ -57,9 +57,10 @@ def maximum_matching(g: Graph) -> Matching:
                     mate[u] = v
                     break
 
-    parent = [-1] * n   # BFS tree parent (over even vertices)
-    base = list(range(n))  # base vertex of the blossom containing v
-    outer = [False] * n  # v is an even (outer) vertex of the forest
+    # Each search builds its own forest state.
+    parent: list[int]  # BFS tree parent (over even vertices)
+    base: list[int]  # base vertex of the blossom containing v
+    outer: list[bool]  # v is an even (outer) vertex of the forest
 
     def lca(a: int, b: int) -> int:
         marked = [False] * n
@@ -89,10 +90,8 @@ def maximum_matching(g: Graph) -> Matching:
             v = parent[mate[v]]
 
     def find_augmenting_path(root: int) -> int:
-        for v in range(n):
-            parent[v] = -1
-            base[v] = v
-            outer[v] = False
+        nonlocal parent, base, outer
+        parent, base, outer = [-1] * n, list(range(n)), [False] * n
         outer[root] = True
         queue = deque([root])
         while queue:

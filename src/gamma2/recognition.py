@@ -526,16 +526,10 @@ def perfect_oracle(g: Graph) -> bool:
     has equal domination and 2-domination numbers.  At most
     ``PERFECT_ORACLE_VERTEX_LIMIT`` vertices.
 
-    A generator yields the subsets of minimum degree >= 2 as vertex masks
-    on the host, and ``gamma_eq_gamma2_masks`` decides them all in one
-    call, with no induced ``Graph`` per subset: per component, capped
-    gamma searches from the counting bound up until one finds a set, then
-    a 2-domination search capped at gamma that stops at its first set.
-    The generator is lazy, so the walk stops at the first failing subset.
-    The decision keeps one table of component verdicts for the call,
-    keyed by the relabelled adjacency, so a component whose rows recur
-    across subsets is decided once; a verdict is reused only for
-    identical rows, never for a graph that is merely isomorphic.
+    A lazy generator yields the subsets of minimum degree >= 2 as vertex
+    masks on the host, with no induced ``Graph`` per subset, and one
+    ``gamma_eq_gamma2_masks`` call decides them all, so the walk stops at
+    the first failing subset.
     """
     check_size("perfect_oracle", g.n, PERFECT_ORACLE_VERTEX_LIMIT)
     masks = g.adjacency_masks()

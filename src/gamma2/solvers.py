@@ -36,15 +36,7 @@ so far until the decision fails, so the last set found (or the greedy
 set) is the witness and the failed decision proves it minimum.  Where
 only the verdict gamma = gamma_2 is read (``is_gamma_gamma2_graph``, and
 ``perfect_oracle`` on each vertex subset), ``gamma_eq_gamma2_masks``
-raises it and builds no greedy set: the k = 1 cap starts at the counting
-bound |C| / (max degree + 1) and rises while no dominating set fits, so
-the first that fits is gamma(C); then a k = 2 search capped at gamma(C)
-asks for a 2-dominating set of gamma(C) vertices.  gamma_2 >= gamma, so
-that set exists iff they are equal.  The decision takes the vertex masks
-to decide and keeps its own table of component verdicts for the call,
-keyed by the relabelled adjacency, so within one ``perfect_oracle`` call
-a component whose rows recur across subsets, the same graph, is decided
-once.
+decides it.
 """
 
 from __future__ import annotations
@@ -407,15 +399,19 @@ def gamma_eq_gamma2_masks(adj: Sequence[int], subsets: Iterable[int]) -> bool:
     """Whether gamma = gamma_2 on the subgraph induced on every vertex mask
     of ``subsets``; stops at the first one where they differ.
 
-    Decided per component from ``_components`` by rising caps: the
-    k = 1 search capped at c, for c from the counting bound
-    ceil(|C| / (max degree + 1)) up until one finds a dominating set,
-    which makes c = gamma(C); then a search at k = 2 capped at gamma(C)
-    asks only whether some 2-dominating set of gamma(C) vertices exists.
-    gamma_2(C) >= gamma(C) on every component, so the numbers are equal
-    iff every component has one.  One table of component verdicts, keyed
-    by ``tuple(rows)`` and dropped on return, serves the whole call: a
-    component whose rows recur, the same graph, is not decided again.
+    Decided per component from ``_components`` by rising caps, with no
+    greedy set: the k = 1 search capped at c, for c from the counting
+    bound ceil(|C| / (max degree + 1)) up until one finds a dominating
+    set, which makes c = gamma(C); then a search at k = 2 capped at
+    gamma(C) asks only whether some 2-dominating set of gamma(C) vertices
+    exists, and stops at the first it reaches.  gamma_2(C) >= gamma(C) on
+    every component, so the numbers are equal iff every component has
+    one.  ``subsets`` may be lazy: it is read only up to the first mask
+    that fails.  One table of component verdicts, keyed by
+    ``tuple(rows)`` and dropped on return, serves the whole call: a
+    component whose rows recur, the same graph, is not decided again; a
+    verdict is reused only for identical rows, never for a graph that is
+    merely isomorphic.
     """
     decided: dict[tuple[int, ...], bool] = {}
     for within in subsets:
@@ -504,15 +500,12 @@ def gamma_and_gamma2(g: Graph) -> tuple[int, int]:
 
 
 def is_gamma_gamma2_graph(g: Graph) -> bool:
-    """Whether gamma(g) == gamma_2(g), by the branch-and-bound decision
-    (small graphs only).
+    """Whether gamma(g) == gamma_2(g) (small graphs only).
 
     Guarded like ``gamma_and_gamma2``, then decided by
-    ``gamma_eq_gamma2_masks``: per component, capped gamma searches from
-    the counting bound up and one capped 2-domination search, not two
-    optima.  It rests on the same search as ``gamma_k``, so it is no
-    referee for it; the independent routes are ``gamma_k_bruteforce`` and
-    ``enumerate_min_k_dominating``.
+    ``gamma_eq_gamma2_masks``.  It rests on the same search as
+    ``gamma_k``, so it is no referee for it; the independent routes are
+    ``gamma_k_bruteforce`` and ``enumerate_min_k_dominating``.
     """
     check_size("is_gamma_gamma2_graph", g.n, BRUTE_FORCE_VERTEX_LIMIT)
     return gamma_eq_gamma2_masks(g.adjacency_masks(), [(1 << g.n) - 1])

@@ -464,15 +464,6 @@ def _multiplicity_lists(total: int, k: int) -> Iterator[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _render(item: Instance) -> str:
-    """``item``'s text, by its exact type's serializer, looked up per call."""
-    return {
-        Graph: formats.graph_to_text,
-        PartitionedInstance: formats.instance_to_json,
-        CnfFormula: formats.cnf_to_text,
-    }[type(item)](item)
-
-
 _CHECKS: dict[str, tuple[Callable[[random.Random, int], Iterator[tuple[bool, Instance]]], int]] = {
     "gamma-k-lower-bound": (_check_gamma_lower_bound, 150),
     "join-c4-collapse": (_check_join_c4_collapse, 30),
@@ -499,8 +490,11 @@ def run_verify(
     per-check instance count; 0 produces an empty report.  A budget that
     is not an int >= 0 (True and 1.5 are not budgets) or a scope that
     matches no check raises ``ValueError``, so a mistyped request cannot
-    pass by running nothing.
+    pass by running nothing.  So does a seed that is not an int: True,
+    1.0 and "1" would each key other streams than seed 1's.
     """
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     if budget is not None:
         check_int("budget", budget, 0)
     names = [name for name in sorted(_CHECKS) if not scope or name.startswith(scope)]
@@ -524,7 +518,7 @@ def run_verify(
             if ok:
                 passed += 1
             elif counterexample is None:
-                counterexample = _render(item)
+                counterexample = formats.to_text(item)
         results.append(
             CheckResult(
                 name=name,

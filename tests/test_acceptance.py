@@ -20,7 +20,8 @@ from gamma2 import (
     reduce_3sat,
 )
 from gamma2.constructions import cycle
-from gamma2.verify import _CHECKS, _render, perfect_fixtures
+from gamma2.formats import to_text
+from gamma2.verify import _CHECKS, perfect_fixtures
 
 
 def _verdict(capsys, number, title, budget_s, body):
@@ -48,7 +49,7 @@ def _run_check(name, number, count):
     instances = 0
     for ok, item in body(random.Random(f"acceptance:{number}"), count):
         instances += 1
-        assert ok, f"{name}, instance {instances}, counterexample:\n{_render(item)}"
+        assert ok, f"{name}, instance {instances}, counterexample:\n{to_text(item)}"
     assert instances == count, f"{name} ran {instances} of {count} instances"
 
 

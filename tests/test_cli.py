@@ -1,14 +1,17 @@
 """Command-line behaviour: output shapes and the exit-code contract."""
 
+import hashlib
 import io
 import json
+import random
 
 import pytest
 
 from gamma2 import cli, formats, solvers
 from gamma2.cli import main
-from gamma2.constructions import cycle, petersen
-from gamma2.verify import UNSAT_COVERED_6
+from gamma2.constructions import cycle, petersen, reduce_3sat
+from gamma2.graph import from_edges
+from gamma2.verify import UNSAT_COVERED_6, UNSAT_COVERED_7, covered_formula
 
 
 @pytest.fixture
@@ -39,6 +42,17 @@ def test_gen_s_and_t6(capsys):
     assert main(["gen", "t6"]) == 0
     g = formats.parse_graph(capsys.readouterr().out)
     assert g.n == 6 and g.m == 5
+
+
+def test_gen_and_reduce_output_is_pinned(tmp_path, capsys):
+    assert main(["gen", "t6"]) == 0
+    assert capsys.readouterr().out == "6 5\n0 1\n0 2\n0 3\n1 4\n1 5\n"
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+    assert main(["reduce", str(cnf)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "d51eb8a9508b322285339c6f6b743a1aaec5f043a1bcab3a661c744b8240d0d0"
+    )
 
 
 def test_gen_s_rejects_garbage(capsys):
@@ -88,6 +102,28 @@ def test_gen_random_h_rejects_probabilities_outside_unit_interval(
 ):
     assert main(["gen", "random-h", "--size", "3", flag, value]) == 2
     assert "probability" in capsys.readouterr().err
+
+
+# The proof path: an unsatisfiable covered formula's reduction, where
+# greedy is optimal and the whole search is the proof.  The primal side: a
+# satisfiable covered formula's reduction, where greedy is one above the
+# optimum at k = 1; at k = 2 the greedy set has 10 vertices, so the chain
+# of decisions finds one set of 9, then fails at cap 8.
+@pytest.mark.parametrize(
+    "formula, k, expected",
+    [
+        (UNSAT_COVERED_7, 1, "gamma_1 = 9\nwitness: 0 1 2 3 4 5 6 7 8\n"),
+        (covered_formula(random.Random(1), 7), 1,
+         "gamma_1 = 8\nwitness: 3 5 9 11 16 19 21 23\n"),
+        (covered_formula(random.Random(1), 7), 2,
+         "gamma_2 = 9\nwitness: 0 1 2 3 4 5 6 7 8\n"),
+    ],
+)
+def test_solve_on_3sat_reductions_is_pinned(tmp_path, capsys, formula, k, expected):
+    target = tmp_path / "gap.txt"
+    target.write_text(formats.graph_to_text(reduce_3sat(formula).instance.g))
+    assert main(["solve", "--k", str(k), str(target)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_solve_prints_number_and_witness(capsys, c5_file):
@@ -140,6 +176,16 @@ def test_recognize_h_prints_the_ring_certificate(monkeypatch, capsys):
     ]
 
 
+def test_recognize_h_petersen_double_subdivision(tmp_path, capsys):
+    # EQUAL, with one matching call per (vertex, incident edge)
+    graph_file = tmp_path / "petersen.txt"
+    graph_file.write_text(formats.graph_to_text(petersen()))
+    inst_file = tmp_path / "petersen.json"
+    assert main(["gen", "dsub", str(graph_file), "--out", str(inst_file)]) == 0
+    assert main(["recognize", "h", str(inst_file)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["EQUAL", "matching calls: 30"]
+
+
 def test_recognize_h_invalid_instance_exits_2(tmp_path, capsys):
     triangle_file = tmp_path / "k3.txt"
     triangle_file.write_text("3 3\n0 1\n1 2\n0 2\n")
@@ -162,6 +208,29 @@ def test_recognize_perfect_exit_codes(capsys, c4_file, c5_file):
     assert main(["recognize", "perfect", c5_file]) == 1
     out = capsys.readouterr().out
     assert "NOT-PERFECT" in out and "reason:" in out
+
+
+def test_recognize_perfect_names_the_failing_component(tmp_path, capsys):
+    # C4 + C5 fails on the C5 component
+    target = tmp_path / "c4c5.txt"
+    target.write_text("9 9\n0 1\n1 2\n2 3\n3 0\n4 5\n5 6\n6 7\n7 8\n8 4\n")
+    assert main(["recognize", "perfect", str(target)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["NOT-PERFECT", "failing component: 4 5 6 7 8"]
+
+
+def test_oracle_gamma_eq_on_c4(capsys, c4_file):
+    assert main(["oracle", "gamma-eq", c4_file]) == 0
+    assert capsys.readouterr().out == "gamma = 2, gamma_2 = 2\nEQUAL\n"
+
+
+def test_oracle_perfect_at_its_cap(tmp_path, capsys):
+    # K_{2,11} on 13 vertices
+    target = tmp_path / "k2_11.txt"
+    k2_11 = from_edges(13, [(u, v) for u in (0, 1) for v in range(2, 13)])
+    target.write_text(formats.graph_to_text(k2_11))
+    assert main(["oracle", "perfect", str(target)]) == 0
+    assert capsys.readouterr().out == "PERFECT\n"
 
 
 def test_oracle_subcommands(capsys, c4_file, c5_file):

@@ -25,7 +25,9 @@ from gamma2.formats import (
     parse_cnf,
     parse_graph,
     parse_instance,
+    to_text,
 )
+from gamma2.matching import Matching, maximum_matching
 
 
 # --- edge-list text --------------------------------------------------------
@@ -243,3 +245,18 @@ def test_roundtrip_on_random_instances():
             continue
         back = parse_instance(instance_to_json(inst))
         assert back.g == inst.g and back.pair_map == inst.pair_map
+
+
+# --- one text form per object -------------------------------------------
+
+
+def test_to_text_picks_the_serializer_by_type():
+    f = CnfFormula(3, ((1, -2, 3),))
+    assert to_text(petersen()) == graph_to_text(petersen())
+    assert to_text(gadget_b()) == instance_to_json(gadget_b())
+    assert to_text(f) == cnf_to_text(f)
+
+
+def test_to_text_rejects_an_object_without_a_text_form():
+    with pytest.raises(TypeError, match="Matching"):
+        to_text(maximum_matching(cycle(4)))

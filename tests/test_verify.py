@@ -4,11 +4,16 @@ import dataclasses
 import hashlib
 import json
 import random
+from itertools import combinations
 
 import pytest
 
 from gamma2 import verify
-from gamma2.verify import _CHECKS, _render, run_verify
+from gamma2.constructions import cycle
+from gamma2.formats import to_text as _render
+from gamma2.graph import from_edges
+from gamma2.matching import Matching
+from gamma2.verify import _CHECKS, run_verify
 
 
 def test_all_checks_pass_at_small_budget():
@@ -147,6 +152,13 @@ def test_non_int_budget_is_rejected(budget):
         run_verify(seed=0, budget=budget)
 
 
+@pytest.mark.parametrize("seed", [True, 1.0, "1"])
+def test_non_int_seed_is_rejected(seed):
+    # each would key other streams than seed 1's, and print as its own seed
+    with pytest.raises(ValueError, match="seed"):
+        run_verify(seed=seed, budget=1)
+
+
 def test_scope_matching_no_check_is_rejected():
     with pytest.raises(ValueError, match="matches no check") as info:
         run_verify(scope="typo", seed=0)
@@ -167,6 +179,65 @@ def test_recognition_check_bounds_matching_calls(monkeypatch):
     report = run_verify(scope="recognition", seed=0, budget=3)
     assert not report.ok
     assert report.checks[0].passed == 0
+
+
+def _fails_on_every_instance(scope):
+    report = run_verify(scope=scope, seed=0, budget=3)
+    (check,) = report.checks
+    assert not report.ok
+    assert (check.instances, check.passed) == (3, 0)
+    assert check.counterexample is not None
+    return check
+
+
+def test_matching_check_rejects_a_matching_on_a_non_edge(monkeypatch):
+    # the right size, so only the validity test can fail
+    real = verify.maximum_matching
+
+    def misplaced(g):
+        size = real(g).size
+        u, v = next(
+            (u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)
+        )
+        rest = [w for w in range(g.n) if w not in (u, v)]
+        mate = [None] * g.n
+        for a, b in [(u, v)] + list(zip(rest[::2], rest[1::2]))[: size - 1]:
+            mate[a], mate[b] = b, a
+        matching = Matching(tuple(mate))
+        assert matching.size == size
+        return matching
+
+    monkeypatch.setattr(verify, "maximum_matching", misplaced)
+    check = _fails_on_every_instance("matching")
+    assert check.counterexample == _render(cycle(4))
+
+
+def test_lower_bound_check_rejects_an_under_reported_gamma_k(monkeypatch):
+    real = verify.gamma_k
+
+    def under_reporting(g, k):
+        result = real(g, k)
+        if k == 1:
+            return result
+        # one below the bound gamma + k - 2
+        return dataclasses.replace(result, number=real(g, 1).number + k - 3)
+
+    monkeypatch.setattr(verify, "gamma_k", under_reporting)
+    _fails_on_every_instance("gamma-k")
+
+
+# K4 less the edge 2-3: the members of {2, 3} share the neighbours 0 and
+# 1, which see exactly them but are adjacent; the members of {0, 1} have
+# the non-adjacent private mates 2 and 3 but are adjacent themselves.
+@pytest.mark.parametrize("dd", [{2, 3}, {0, 1}])
+def test_private_pair_check_rejects_each_broken_structure(monkeypatch, dd):
+    g = from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    monkeypatch.setattr(verify, "_equality_graphs", lambda rng, budget: [g] * budget)
+    monkeypatch.setattr(
+        verify, "enumerate_min_k_dominating", lambda g, k: [frozenset(dd)]
+    )
+    check = _fails_on_every_instance("private-pair")
+    assert check.counterexample == _render(g)
 
 
 def test_report_ordering_is_stable():

@@ -31,9 +31,10 @@ its depth does not depend on the interpreter's recursion limit.
 independent oracle used to validate it on small graphs.
 
 The optima come from chains of decisions.  ``gamma_k`` lowers the cap:
-it starts from a greedy set and asks for a set one smaller than the best
-so far until the decision fails, so the last set found (or the greedy
-set) is the witness and the failed decision proves it minimum.  Where
+the chain's first link is the greedy set less its redundant vertices
+(``_drop_redundant``), and it asks for a set one smaller than the best so
+far until the decision fails, so the last set found (or that first set)
+is the witness and the failed decision proves it minimum.  Where
 only the verdict gamma = gamma_2 is read (``is_gamma_gamma2_graph``, and
 ``perfect_oracle`` on each vertex subset), ``gamma_eq_gamma2_masks``
 decides it.
@@ -128,6 +129,24 @@ def _greedy_cover_mask(adj: Sequence[int], k: int) -> int:
                     needy -= 1
                     for w in _bit_list(adj[v]):
                         score[w] -= 1
+    return chosen
+
+
+def _drop_redundant(adj: Sequence[int], k: int, chosen: int) -> int:
+    """``chosen`` less its redundant vertices: a subset of it that still
+    k-dominates and from which no single vertex can be removed.
+
+    One pass over the chosen vertices in ascending order drops u when u
+    keeps at least k neighbours in the rest of the set and so does every
+    neighbour of u outside the set.  A drop only lowers counts and grows
+    the outside, so it never makes an earlier vertex removable again.
+    """
+    for u in _bit_list(chosen):
+        rest = chosen & ~(1 << u)
+        if (adj[u] & rest).bit_count() >= k and all(
+            (adj[w] & rest).bit_count() >= k for w in _bit_list(adj[u] & ~chosen)
+        ):
+            chosen = rest
     return chosen
 
 
@@ -433,18 +452,18 @@ def gamma_k(g: Graph, k: int) -> DominationResult:
     """Exact k-domination number with a deterministic witness.
 
     Each component from ``_components`` is solved on its own by a falling
-    chain of decisions: from the greedy set, the search capped one below
-    the best set so far runs until it finds none.  The last set found, or
-    the greedy set when the first decision fails, is the witness, mapped
-    back to ``g``'s labels through the component's vertices, and the
-    failed decision is the proof that it is minimum.  The empty graph has
-    gamma_k = 0.
+    chain of decisions: from the greedy set less its redundant vertices,
+    the search capped one below the best set so far runs until it finds
+    none.  The last set found, or that first set when the first decision
+    fails, is the witness, mapped back to ``g``'s labels through the
+    component's vertices, and the failed decision is the proof that it is
+    minimum.  The empty graph has gamma_k = 0.
     """
     check_int("k", k, 1)
     number = 0
     witness: list[int] = []
     for vertices, sub in _components(g.adjacency_masks(), (1 << g.n) - 1):
-        best = _greedy_cover_mask(sub, k)
+        best = _drop_redundant(sub, k, _greedy_cover_mask(sub, k))
         while found := _solve_component(sub, k, best.bit_count() - 1):
             best = found
         number += best.bit_count()

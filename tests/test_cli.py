@@ -107,8 +107,8 @@ def test_gen_random_h_rejects_probabilities_outside_unit_interval(
 # The proof path: an unsatisfiable covered formula's reduction, where
 # greedy is optimal and the whole search is the proof.  The primal side: a
 # satisfiable covered formula's reduction, where greedy is one above the
-# optimum at k = 1; at k = 2 the greedy set has 10 vertices, so the chain
-# of decisions finds one set of 9, then fails at cap 8.
+# optimum at k = 1; at k = 2 the greedy set less its redundant vertices
+# already has 9, so the chain is one failing decision at cap 8.
 @pytest.mark.parametrize(
     "formula, k, expected",
     [

@@ -522,7 +522,7 @@ def test_perfect_oracle_small_cases():
 def _reference_perfect_oracle(g):
     """The definition ``perfect_oracle`` must reproduce: an induced
     ``Graph`` per vertex subset, and both optima of each one of minimum
-    degree >= 2 (two ``gamma_k`` optima, each lowered from the greedy set,
+    degree >= 2 (two ``gamma_k`` optima, each lowered from a greedy set,
     not the rising caps of the decision route that ``perfect_oracle``
     itself takes)."""
     for size in range(3, g.n + 1):

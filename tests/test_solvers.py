@@ -40,6 +40,7 @@ from gamma2.solvers import (
     SAT_VARIABLE_LIMIT,
     _bit_is_k_dominating,
     _components,
+    _drop_redundant,
     _greedy_cover_mask,
     _picks_finish,
     _solve_component,
@@ -95,7 +96,7 @@ def test_small_fixed_values():
     assert gamma_k(star(6), 2).number == 6
     assert gamma_k(path(4), 1).number == 2
     # P5 numbered centre first: the greedy takes the centre and needs three,
-    # so only a counting bound of exactly ceil(5 / (2 + 1)) = 2 is sound.
+    # and the centre is redundant beside the other two.
     assert gamma_k(from_edges(5, [(0, 1), (0, 2), (1, 4), (2, 3)]), 1).number == 2
     assert gamma_k(from_edges(0, []), 1).number == 0
     assert gamma_k(from_edges(1, []), 2).number == 1
@@ -181,6 +182,18 @@ def _reference_greedy_cover_mask(adj: list[int], k: int) -> int:
 def test_incremental_greedy_matches_rescanning_reference(n, p, seed, k):
     adj = _seeded_graph(n, p, seed).adjacency_masks()
     assert _greedy_cover_mask(adj, k) == _reference_greedy_cover_mask(adj, k)
+
+
+@given(st.integers(1, 16), densities, seeds, st.integers(1, 3))
+def test_dropping_redundant_vertices_leaves_an_irredundant_subset(n, p, seed, k):
+    adj = _seeded_graph(n, p, seed).adjacency_masks()
+    greedy = _greedy_cover_mask(adj, k)
+    pruned = _drop_redundant(adj, k, greedy)
+    assert pruned & ~greedy == 0
+    assert _bit_is_k_dominating(adj, pruned, k)
+    for v in range(n):
+        if pruned >> v & 1:
+            assert not _bit_is_k_dominating(adj, pruned & ~(1 << v), k), v
 
 
 @pytest.mark.parametrize("n, k", [(1500, 1), (400, 2)])
@@ -279,14 +292,13 @@ def test_witnesses_are_pinned():
     cases += [(cycle(n), k) for n in range(3, 31) for k in (1, 2)]
     assert _pinned_digests(cases) == (
         "8c8284fc22bb0d8be4101d91631524b492ebaabe430d2cc3bac0f82e7dec4615",
-        "ba12a9a49b49a358837e57008c7267cbbfed9ffc3e84e7cfedaa79a3577656ae",
+        "25fae1bb24fd52b2334b8f10199f055d8b8920f384030c1560f5d33015833675",
     )
 
 
-def test_witnesses_are_pinned_on_3sat_reductions():
-    # The corpus above stops at 20 vertices; these reduction graphs have
-    # 36-64, where the search is longest.  Same rule: a change that alters
-    # a number or witness must update its digest and say so.
+def _pinned_3sat_reductions():
+    """Reduction graphs of 36-64 vertices from 16 seeded formulas over 6
+    and 7 variables, 6 of them unsatisfiable."""
     rng = random.Random(2019)
     formulas = [UNSAT_COVERED_6, UNSAT_COVERED_7]
     formulas += [covered_formula(rng, v) for v in (6, 7)]
@@ -297,10 +309,37 @@ def test_witnesses_are_pinned_on_3sat_reductions():
     assert [cnf_satisfiable(f) is not None for f in formulas].count(False) == 6
     graphs = [reduce_3sat(f).instance.g for f in formulas]
     assert min(g.n for g in graphs) == 36 and max(g.n for g in graphs) == 64
+    return graphs
+
+
+def test_witnesses_are_pinned_on_3sat_reductions():
+    # The corpus above stops at 20 vertices; these reduction graphs have
+    # 36-64, where the search is longest.  Same rule: a change that alters
+    # a number or witness must update its digest and say so.
+    graphs = _pinned_3sat_reductions()
     assert _pinned_digests([(g, k) for g in graphs for k in (1, 2)]) == (
         "b111e51236df2b46b46e666eb2d4fe0e111b042846e64406dece4834d07d3a2a",
         "07d0708ddafda10e50468e58713bd68d8c4460ee6aa3093d98a793283853bda3",
     )
+
+
+def test_gamma_2_of_a_3sat_reduction_is_one_failing_decision(monkeypatch):
+    # The greedy 2-dominating set of these graphs is one vertex above
+    # gamma_2 = v + 2, and dropping its redundant vertices reaches the
+    # optimum, so the chain is only the proof: one decision, which fails.
+    calls = []
+    solve = _solve_component
+
+    def recording(adj, k, cap):
+        calls.append(solve(adj, k, cap))
+        return calls[-1]
+
+    graphs = _pinned_3sat_reductions()
+    monkeypatch.setattr(solvers, "_solve_component", recording)
+    for g in graphs:
+        calls.clear()
+        gamma_k(g, 2)
+        assert calls == [0], g.n
 
 
 def _small_3sat_reductions():
@@ -398,7 +437,7 @@ def test_witnesses_are_pinned_on_many_components():
     graphs += [from_edges(n, []) for n in (0, 1, 7)]
     assert _pinned_digests([(g, k) for g in graphs for k in (1, 2)]) == (
         "ac8bef0f7ea461e2c0a69b222d102204441c079afda2caa63170c2a49b200ef8",
-        "26479d57269f107e16988b982844257fc70ba527e2b9e12df6dd6d5cbe333350",
+        "6fafb3c261290a238123ebefc976364eeee169e0aefb47c26b981ef893fda520",
     )
 
 
@@ -596,13 +635,14 @@ def test_capped_search_answers_whether_gamma_k_is_at_most_the_cap():
 
 
 def _falling_chain_cases():
-    """(connected graph, k, greedy size, gamma_k, caps gamma_k decides)."""
+    """(connected graph, k, size of the chain's first set, gamma_k, caps
+    gamma_k decides)."""
     p5 = from_edges(5, [(0, 1), (0, 2), (1, 4), (2, 3)])  # centre first
     sat = reduce_3sat(covered_formula(random.Random(1), 7)).instance.g
-    yield p5, 1, 3, 2, [2, 1]
+    yield p5, 1, 2, 2, [1]
     yield sat, 1, 9, 8, [8, 7]
-    yield sat, 2, 10, 9, [9, 8]
-    # The greedy set is optimal on cycles: one decision, which fails.
+    yield sat, 2, 9, 9, [8]
+    # The first set is optimal on cycles: one decision, which fails.
     for n in range(3, 31):
         for k in (1, 2):
             gamma = -(-k * n // (2 + k))
@@ -610,9 +650,9 @@ def _falling_chain_cases():
 
 
 def test_gamma_k_is_a_falling_chain_of_decisions(monkeypatch):
-    # From the greedy set, each decision is capped one below the last set
-    # found; the first that fails proves the last set (or the greedy set)
-    # minimum, and that set is the witness.
+    # From the pruned greedy set, each decision is capped one below the
+    # last set found; the first that fails proves the last set (or the
+    # first) minimum, and that set is the witness.
     calls = []
     solve = _solve_component
 
@@ -621,13 +661,13 @@ def test_gamma_k_is_a_falling_chain_of_decisions(monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(solvers, "_solve_component", recording)
-    for g, k, greedy_size, gamma, caps in _falling_chain_cases():
+    for g, k, first_size, gamma, caps in _falling_chain_cases():
         assert len(components(g)) == 1
         calls.clear()
         result = gamma_k(g, k)
         adj = g.adjacency_masks()
-        best = _greedy_cover_mask(adj, k)
-        assert (best.bit_count(), result.number) == (greedy_size, gamma)
+        best = _drop_redundant(adj, k, _greedy_cover_mask(adj, k))
+        assert (best.bit_count(), result.number) == (first_size, gamma)
         assert [cap for cap, _ in calls] == caps
         for cap, mask in calls:
             assert cap == best.bit_count() - 1

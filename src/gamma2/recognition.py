@@ -15,8 +15,11 @@ Second, ``recognize_perfect`` decides structurally whether every induced
 subgraph of minimum degree two keeps the two numbers equal; the positive
 graphs are exactly the disjoint unions of doubled-subdivided stars.
 ``forbidden_subgraph_check`` and ``perfect_oracle`` are the two
-independent routes used to cross-validate it; the oracle hands every
-subset of minimum degree two, as a vertex mask, to one call of the
+independent routes used to cross-validate it.  The first runs one search
+bounded at eight vertices for a cycle of length 3, 5, 6 or 7 or a path
+on eight vertices; on minimum degree two these are all the obstructions,
+since a double-pendant edge then implies one of them.  The oracle hands
+every subset of minimum degree two, as a vertex mask, to one call of the
 solver's decision ``gamma_eq_gamma2_masks``.
 """
 
@@ -467,45 +470,41 @@ def _is_center(g: Graph, center: int, order: int) -> bool:
 def forbidden_subgraph_check(g: Graph) -> bool:
     """Second route to hereditary equality, via forbidden subgraphs.
 
-    True iff ``g`` contains no double-pendant edge (T6), no path on eight
-    vertices and no cycle of length other than four, all as not
-    necessarily induced subgraphs.  Every forbidden pattern is connected,
-    so the whole graph contains one iff some component does: a disjoint
-    union passes iff each component does, and the empty graph passes
-    vacuously.  Needs minimum degree >= 2, like ``recognize_perfect``,
-    and at most ``FORBIDDEN_CHECK_VERTEX_LIMIT`` vertices.
+    True iff ``g`` contains no cycle of length other than four and no
+    path on eight vertices, both as not necessarily induced subgraphs.
+    Every forbidden pattern is connected, so the whole graph contains one
+    iff some component does: a disjoint union passes iff each component
+    does, and the empty graph passes vacuously.  Needs minimum degree
+    >= 2, like ``recognize_perfect``, and at most
+    ``FORBIDDEN_CHECK_VERTEX_LIMIT`` vertices.
+
+    The double-pendant edge T6 (an edge ab with two private neighbours at
+    each end) needs no test of its own on this domain.  With no cycle of
+    length 3, 5, 6 or 7 and no P8, every cycle is a 4-cycle (a longer
+    one contains a P8), so every block is an edge or a K_{2,m}.  Given a
+    T6 on ab, each side holds a path of at least four vertices that ends
+    at a (or at b) and avoids the other side: if ab is a bridge, the
+    minimum degree puts a cycle on each side; if ab lies in a K_{2,m},
+    the path runs through the block's other vertices or a cut vertex's
+    outside branch.  The two paths and ab form a P8.
     """
     check_size("forbidden_subgraph_check", g.n, FORBIDDEN_CHECK_VERTEX_LIMIT)
     _check_min_degree_two("forbidden_subgraph_check", g)
-    if _has_double_pendant_edge(g):
-        return False
-    if short_cycle(g) == 3:
-        return False
     return not _has_long_path_or_cycle(g)
 
 
-def _has_double_pendant_edge(g: Graph) -> bool:
-    # An edge (a, b) plus two private attachments on each side; the four
-    # attachments must be distinct, but extra edges among them are fine.
-    for a, b in g.edges():
-        side_a = set(g.neighbors(a)) - {b}
-        side_b = set(g.neighbors(b)) - {a}
-        if len(side_a) >= 2 and len(side_b) >= 2 and len(side_a | side_b) >= 4:
-            return True
-    return False
-
-
 def _has_long_path_or_cycle(g: Graph) -> bool:
-    # A path on eight vertices or a cycle of length 5..7.  A longer cycle
-    # contains a path on eight vertices, so this finds every cycle of
-    # length >= 5 while no search goes deeper than eight vertices.
+    # A path on eight vertices or a cycle of length 3, 5, 6 or 7.  A
+    # longer cycle contains a path on eight vertices, so this finds every
+    # cycle other than a 4-cycle while no search goes deeper than eight
+    # vertices.
     on_path: set[int] = set()
 
     def dfs(v: int, start: int) -> bool:
         if len(on_path) == 8:
             return True
         for u in g.neighbors(v):
-            if u == start and len(on_path) >= 5:
+            if u == start and len(on_path) in (3, 5, 6, 7):
                 return True
             if u not in on_path:
                 on_path.add(u)
@@ -529,15 +528,15 @@ def perfect_oracle(g: Graph) -> bool:
     A lazy generator yields the subsets of minimum degree >= 2 as vertex
     masks on the host, with no induced ``Graph`` per subset, and one
     ``gamma_eq_gamma2_masks`` call decides them all, so the walk stops at
-    the first failing subset.
+    the first failing subset.  Each subset is probed once, vertex by
+    vertex; a subset of one or two vertices fails at its lowest vertex,
+    which has at most one neighbour inside it.
     """
     check_size("perfect_oracle", g.n, PERFECT_ORACLE_VERTEX_LIMIT)
     masks = g.adjacency_masks()
 
     def min_degree_two() -> Iterator[int]:
         for subset in range(1, 1 << g.n):
-            if subset.bit_count() < 3:
-                continue
             probe = subset
             while probe:
                 v = (probe & -probe).bit_length() - 1

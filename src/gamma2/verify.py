@@ -218,7 +218,10 @@ UNSAT_COVERED_6 = CnfFormula(6, (
 
 
 def t6_augmented_fixtures() -> list[Graph]:
-    """Minimum-degree-2 graphs containing the double-pendant edge."""
+    """Minimum-degree-2 graphs containing the double-pendant edge (T6).
+    Each also holds a triangle or a path on eight vertices, as every such
+    graph must: on minimum degree 2, a T6 implies a cycle other than C4
+    or a P8 (see ``forbidden_subgraph_check``)."""
     return [
         # leaf pairs tied off into triangles
         from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 3), (4, 5)]),

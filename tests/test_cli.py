@@ -343,6 +343,15 @@ def test_verify_zero_budget_says_nothing_was_checked(capsys):
     assert "all checks passed" not in out
 
 
+def test_verify_perfect_scope_reaches_the_forbidden_route(capsys):
+    # the one console-script path to forbidden_subgraph_check: the
+    # perfect-triple-agreement check compares it with the other two routes
+    assert main(["verify", "--scope", "perfect", "--seed", "1", "--budget", "80"]) == 0
+    out = capsys.readouterr().out
+    assert "perfect-triple-agreement" in out
+    assert out.splitlines()[-1] == "verify: all checks passed"
+
+
 def test_verify_scope_filters(capsys):
     assert main(["verify", "--scope", "matching", "--budget", "3"]) == 0
     out = capsys.readouterr().out

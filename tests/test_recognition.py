@@ -42,7 +42,7 @@ from gamma2.constructions import (
     random_graph,
     star,
 )
-from gamma2.graph import components, induced_subgraph
+from gamma2.graph import components, induced_subgraph, short_cycle
 from gamma2.recognition import (
     FORBIDDEN_CHECK_VERTEX_LIMIT,
     PERFECT_ORACLE_VERTEX_LIMIT,
@@ -496,6 +496,18 @@ def test_forbidden_subgraph_route():
          (7, 8), (8, 6), (5, 3)],
     )
     assert not forbidden_subgraph_check(chain)
+    # the T6 lemma's 6-cycle case: the edge (0, 1) with private pairs
+    # {2, 3} and {4, 5}, closed by 2-4 and 3-5; it is bipartite with no
+    # triangle, too small for a P8, so only the cycle 0-2-4-1-5-3 can
+    # reject it
+    closed_t6 = from_edges(
+        6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (3, 5)]
+    )
+    assert closed_t6.min_degree() == 2
+    assert short_cycle(closed_t6) == 4
+    assert not forbidden_subgraph_check(closed_t6)
+    assert not recognize_perfect(closed_t6).perfect
+    assert not perfect_oracle(closed_t6)
 
 
 @pytest.mark.parametrize(

@@ -96,18 +96,17 @@ def validate_h(inst: PartitionedInstance) -> HValidationReport:
                 failures.append(f"D is not independent: edge ({u}, {w})")
 
     seen: set[int] = set()
-    structure_ok = True
+    d_pairs: list[tuple[int, int]] = []
     for key, (x1, x2) in inst.pair_map.items():
         a, b = key
         if not (type(a) is type(b) is int and a in d and b in d and a < b):
             failures.append(
                 f"pair key {key} is not an ordered pair of D-vertices"
             )
-            structure_ok = False
             continue
+        d_pairs.append(key)
         if x1 == x2:
             failures.append(f"pair {key} lists the same vertex twice")
-            structure_ok = False
             continue
         pair_ok = True
         for x in (x1, x2):
@@ -119,7 +118,6 @@ def validate_h(inst: PartitionedInstance) -> HValidationReport:
                 continue
             if x in seen:
                 failures.append(f"vertex {x} belongs to two pairs")
-                structure_ok = False
             seen.add(x)
             d_nbrs = set(g.neighbors(x)) & d
             if d_nbrs != set(key):
@@ -127,9 +125,7 @@ def validate_h(inst: PartitionedInstance) -> HValidationReport:
                     f"pair vertex {x} of {key} has D-neighbourhood "
                     f"{sorted(d_nbrs)}, expected {sorted(key)}"
                 )
-        if not pair_ok:
-            structure_ok = False
-        elif g.has_edge(x1, x2):
+        if pair_ok and g.has_edge(x1, x2):
             failures.append(
                 f"supplementary edge inside pair {key}: ({x1}, {x2})"
             )
@@ -140,18 +136,18 @@ def validate_h(inst: PartitionedInstance) -> HValidationReport:
             f"vertex {v} is outside D but not a subdivision vertex of any pair"
         )
 
-    if structure_ok:
-        order = sorted(d)
-        position = {v: i for i, v in enumerate(order)}
-        underlying = from_edges(
-            len(order),
-            [(position[a], position[b]) for a, b in inst.pair_map],
-        )
-        girth = short_cycle(underlying)
-        if girth == 3:
-            failures.append("underlying graph contains a triangle")
-        elif girth == 4:
-            failures.append("underlying graph contains a 4-cycle")
+    # the girth rule reads only the keys that are ordered pairs of
+    # D-vertices, so no other broken rule hides it
+    order = sorted(d)
+    position = {v: i for i, v in enumerate(order)}
+    underlying = from_edges(
+        len(order), [(position[a], position[b]) for a, b in d_pairs]
+    )
+    girth = short_cycle(underlying)
+    if girth == 3:
+        failures.append("underlying graph contains a triangle")
+    elif girth == 4:
+        failures.append("underlying graph contains a 4-cycle")
 
     return HValidationReport(tuple(failures))
 

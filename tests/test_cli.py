@@ -1,4 +1,9 @@
-"""Command-line behaviour: output shapes and the exit-code contract."""
+"""Command-line behaviour: output shapes and the exit-code contract.
+
+This file is the one home of the ``gamma2`` command's pins.  Tier-1 runs
+it on ``src/``; CI runs it again on the installed package with
+``python -m pytest -o pythonpath= tests/test_cli.py``.
+"""
 
 import hashlib
 import io
@@ -11,7 +16,11 @@ from gamma2 import cli, formats, solvers
 from gamma2.cli import main
 from gamma2.constructions import cycle, petersen, reduce_3sat
 from gamma2.graph import from_edges
+from gamma2.solvers import cnf_satisfiable
 from gamma2.verify import UNSAT_COVERED_6, UNSAT_COVERED_7, covered_formula
+
+C4_C4 = "8 8\n0 1\n1 2\n2 3\n3 0\n4 5\n5 6\n6 7\n7 4\n"
+C4_C5 = "9 9\n0 1\n1 2\n2 3\n3 0\n4 5\n5 6\n6 7\n7 8\n8 4\n"
 
 
 @pytest.fixture
@@ -126,6 +135,10 @@ def test_solve_on_3sat_reductions_is_pinned(tmp_path, capsys, formula, k, expect
     assert capsys.readouterr().out == expected
 
 
+def test_primal_side_formula_is_satisfiable():
+    assert cnf_satisfiable(covered_formula(random.Random(1), 7)) is not None
+
+
 def test_solve_prints_number_and_witness(capsys, c5_file):
     assert main(["solve", "--k", "2", c5_file]) == 0
     out = capsys.readouterr().out
@@ -162,6 +175,18 @@ def test_recognize_h_equal_and_not_equal(tmp_path, capsys):
     assert main(["gen", "dsub", str(star_file), "--out", str(inst_file)]) == 0
     assert main(["recognize", "h", str(inst_file)]) == 0
     assert "EQUAL" in capsys.readouterr().out
+
+
+def test_readme_pipe_is_pinned(monkeypatch, capsys):
+    # gamma2 gen b | gamma2 recognize h -, as the README shows it
+    assert main(["gen", "b"]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    assert main(["recognize", "h", "-"]) == 1
+    assert capsys.readouterr().out == (
+        "NOT-EQUAL\n"
+        "certificate: bridge v1=0 u1=1 x1=(4,5) v2=2 u2=3 x2=(6,7)\n"
+        "matching calls: 0\n"
+    )
 
 
 def test_recognize_h_prints_the_ring_certificate(monkeypatch, capsys):
@@ -217,6 +242,47 @@ def test_recognize_perfect_names_the_failing_component(tmp_path, capsys):
     assert main(["recognize", "perfect", str(target)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[:2] == ["NOT-PERFECT", "failing component: 4 5 6 7 8"]
+
+
+# C4 + C5 fails on its C5 component, and C4 + C4 passes
+@pytest.mark.parametrize(
+    "argv, graph, code, out",
+    [
+        (["recognize", "perfect"], formats.graph_to_text(cycle(4)), 0, "PERFECT\n"),
+        (["oracle", "gamma-eq"], C4_C5, 1, "gamma = 4, gamma_2 = 5\nNOT-EQUAL\n"),
+        (["oracle", "perfect"], C4_C5, 1, "NOT-PERFECT\n"),
+        (["oracle", "perfect"], C4_C4, 0, "PERFECT\n"),
+    ],
+    ids=["recognize-perfect-c4", "gamma-eq-c4c5", "perfect-c4c5", "perfect-c4c4"],
+)
+def test_deciders_read_stdin_and_print_whole_verdicts(
+    monkeypatch, capsys, argv, graph, code, out
+):
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph))
+    assert main([*argv, "-"]) == code
+    assert capsys.readouterr().out == out
+
+
+# a vertex of degree 1 is outside recognize_perfect's domain, and the
+# exhaustive oracles refuse one vertex over their caps
+@pytest.mark.parametrize(
+    "argv, graph, err",
+    [
+        (["recognize", "perfect"], "3 2\n0 1\n1 2\n",
+         "error: recognize_perfect needs minimum degree >= 2; vertex 0 has degree 1\n"),
+        (["oracle", "perfect"], formats.graph_to_text(cycle(14)),
+         "error: perfect_oracle accepts at most 13 vertices, got 14\n"),
+        (["oracle", "gamma-eq"], formats.graph_to_text(cycle(23)),
+         "error: is_gamma_gamma2_graph accepts at most 22 vertices, got 23\n"),
+    ],
+    ids=["recognize-perfect-p3", "perfect-c14", "gamma-eq-c23"],
+)
+def test_deciders_refuse_graphs_outside_their_domain(
+    monkeypatch, capsys, argv, graph, err
+):
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph))
+    assert main([*argv, "-"]) == 2
+    assert capsys.readouterr() == ("", err)
 
 
 def test_oracle_gamma_eq_on_c4(capsys, c4_file):
@@ -350,6 +416,27 @@ def test_verify_perfect_scope_reaches_the_forbidden_route(capsys):
     out = capsys.readouterr().out
     assert "perfect-triple-agreement" in out
     assert out.splitlines()[-1] == "verify: all checks passed"
+
+
+def test_verify_min_scope_passes(capsys):
+    assert main(["verify", "--scope", "min-", "--seed", "1", "--budget", "10"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verify: all checks passed"
+
+
+def test_verify_unknown_scope_names_itself(capsys):
+    assert main(["verify", "--scope", "nosuch"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: scope 'nosuch' matches no check")
+
+
+def test_verify_scoped_json_report_carries_no_counterexample(capsys):
+    argv = ["verify", "--scope", "sat", "--seed", "1", "--budget", "5"]
+    assert main([*argv, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is True
+    assert doc["checks"]
+    assert all(c["counterexample"] is None for c in doc["checks"])
 
 
 def test_verify_scope_filters(capsys):

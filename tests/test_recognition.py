@@ -150,11 +150,25 @@ def test_validate_names_each_pair_rule(d, pair_map, rule):
     report = validate_h(tampered)
     assert not report.valid
     assert any(rule in msg for msg in report.failures), report.failures
-    # a broken pair structure skips the girth rule
+    # P3 has no cycle, so the girth rule has nothing to report
     assert not any("underlying graph" in msg for msg in report.failures)
     # only pairs of two valid non-D vertices are tested for an edge inside:
     # (0, 4) is an edge of D-vertex 0, not a supplementary edge
     assert not any("inside pair" in msg for msg in report.failures)
+
+
+def test_validate_reports_the_girth_rule_beside_a_broken_pair():
+    # a pair that lists one vertex twice does not hide the underlying
+    # triangle: every violated rule is reported
+    base = double_subdivision(complete(3))
+    pair_map = {**base.pair_map, (0, 1): (3, 3)}
+    report = validate_h(replace(base, pair_map=pair_map))
+    assert report.failures == (
+        "pair (0, 1) lists the same vertex twice",
+        "vertex 3 is outside D but not a subdivision vertex of any pair",
+        "vertex 4 is outside D but not a subdivision vertex of any pair",
+        "underlying graph contains a triangle",
+    )
 
 
 def test_validate_rejects_short_cycles_in_underlying():

@@ -36,7 +36,6 @@ from .constructions import (
     cycle,
     double_subdivision,
     gadget_a,
-    gadget_a4_star,
     gadget_b,
     gadget_s,
     gadget_t6,

@@ -250,19 +250,6 @@ def gadget_b() -> PartitionedInstance:
     return PartitionedInstance(inst.g, inst.d, inst.pair_map, labels)
 
 
-def gadget_a4_star() -> PartitionedInstance:
-    """The 4-spoke ring gadget with one extra subdivided leaf-leaf edge.
-
-    The underlying graph is a 4-leaf star plus the edge w1 w2, so it has a
-    triangle; the gadget is a fixture for behaviour when the underlying
-    graph has girth below five (brute force puts gamma = gamma_2 = 5 here).
-    """
-    f = from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
-    # The star's edges come first in edge order, so its four pairs are
-    # numbered as in gadget_a(4) and take the same ring.
-    return build(ConstructionSpec(f, supp_edges=_ring(5, 4)))
-
-
 def gadget_s(multiplicities: Sequence[int]) -> PartitionedInstance:
     """Doubled-subdivided star: leaf j is tied to the centre through
     ``multiplicities[j]`` parallel subdivision vertices (each >= 2).

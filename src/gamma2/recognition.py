@@ -97,14 +97,18 @@ def validate_h(inst: PartitionedInstance) -> HValidationReport:
 
     seen: set[int] = set()
     d_pairs: list[tuple[int, int]] = []
-    for key, (x1, x2) in inst.pair_map.items():
-        a, b = key
+    for key, pair in inst.pair_map.items():
+        a, b = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
         if not (type(a) is type(b) is int and a in d and b in d and a < b):
             failures.append(
                 f"pair key {key} is not an ordered pair of D-vertices"
             )
             continue
         d_pairs.append(key)
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            failures.append(f"pair {key} maps to {pair}, which is not two vertices")
+            continue
+        x1, x2 = pair
         if x1 == x2:
             failures.append(f"pair {key} lists the same vertex twice")
             continue
@@ -420,7 +424,7 @@ def recognize_perfect(g: Graph) -> PerfectVerdict:
     """
     _check_min_degree_two("recognize_perfect", g)
     for comp in components(g):
-        if not _is_center(g, max(comp, key=g.degree), len(comp)):
+        if not _is_center(g, max(comp, key=g.degree)):
             return PerfectVerdict(
                 False,
                 failing_component=tuple(comp),
@@ -439,9 +443,9 @@ def _check_min_degree_two(what: str, g: Graph) -> None:
             )
 
 
-def _is_center(g: Graph, center: int, order: int) -> bool:
-    """True iff ``center``'s component, of ``order`` vertices, is a
-    doubled-subdivided star centred there."""
+def _is_center(g: Graph, center: int) -> bool:
+    """True iff ``center``'s component is a doubled-subdivided star
+    centred there."""
     spokes = set(g.neighbors(center))
     leaf_of: dict[int, int] = {}
     for x in spokes:
@@ -453,11 +457,11 @@ def _is_center(g: Graph, center: int, order: int) -> bool:
             return False  # edge inside the neighbourhood
         leaf_of[x] = leaf
     leaves = set(leaf_of.values())
-    if order != 1 + len(spokes) + len(leaves):
-        return False
     # Every spoke already sees its leaf, so a leaf passes iff each of its
     # neighbours (>= 2 of them by the minimum degree) is a spoke leading
-    # to it: linear in the component.
+    # to it: linear in the component.  Centre, spokes and leaves are
+    # disjoint, and once every leaf passes no vertex of them has a
+    # neighbour outside them, so they are the whole component.
     return all(
         leaf_of.get(x) == leaf for leaf in leaves for x in g.neighbors(leaf)
     )

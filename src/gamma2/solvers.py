@@ -160,6 +160,19 @@ def _bit_list(mask: int) -> list[int]:
     return bits
 
 
+def _raised(adj: Sequence[int], levels: list[int], added: int) -> list[int]:
+    """A copy of the coverage ``levels`` with each vertex of ``added``
+    counted as one more chosen neighbour of its neighbours."""
+    levels = levels[:]
+    top = len(levels)
+    for u in _bit_list(added):
+        nbrs = adj[u]
+        for j in range(top - 1, 0, -1):
+            levels[j] |= levels[j - 1] & nbrs
+        levels[0] |= nbrs
+    return levels
+
+
 def _solve_component(adj: Sequence[int], k: int, cap: int) -> int:
     """A k-dominating set of at most ``cap`` vertices of one component
     given bitmask adjacency, as a bitmask, or 0 when there is none.
@@ -171,57 +184,49 @@ def _solve_component(adj: Sequence[int], k: int, cap: int) -> int:
     picks).  A component has at least one vertex, so a set is never 0.
     The search is deterministic: branch
     vertices and propagation order depend only on vertex indices.  Search
-    nodes sit on one explicit stack as (chosen, excluded, levels, added).
-    ``levels`` is a bit-sliced count of chosen neighbours: ``levels[j]``
-    holds the vertices with more than j of them among ``chosen & ~added``,
-    and the node brings it up to date for ``added`` only once it survives
-    the size test.  Adding a vertex costs one mask operation per level.
-    No vertex has more chosen neighbours than the maximum degree, so there
-    are min(k, max degree + 1) levels, and ``levels[-1]`` holds the
-    vertices that need nothing more.  Each node then visits only the
-    still-needy vertices outside ``chosen | levels[-1]``, in ascending
-    order, and gathers their needs, option pools and the branch vertex in
-    that one pass.
+    nodes sit on one explicit stack as (chosen, excluded, levels), each
+    whole when it is pushed: it has at most ``cap`` vertices, and
+    ``levels`` is a bit-sliced count of chosen neighbours, ``levels[j]``
+    holding the vertices with more than j of them, which ``_raised``
+    brings up to date for the vertices a child adds at one mask operation
+    per level.  No vertex has more chosen neighbours than the maximum
+    degree, so there are min(k, max degree + 1) levels, and ``levels[-1]``
+    holds the vertices that need nothing more.  Each node then visits only
+    the still-needy vertices outside ``chosen | levels[-1]``, in ascending
+    order, and gathers one row (pool size, bit, need, options) for each,
+    and the branch vertex, in that one pass.
 
     A node that propagation leaves unfinished meets three lower bounds in
-    turn: the disjoint option pools, the counting bound, and the
-    completion lookahead.  The last runs only where t = cap - size picks
-    left is at most ``_LOOKAHEAD``: the pass ANDs the one-pick sets of the
-    needy vertices, and when no single vertex finishes the node,
-    ``_picks_finish`` looks for at most t that do.
+    turn: the disjoint option pools, packed from the sorted rows and
+    counted one pick each, the counting bound, and the completion
+    lookahead.  The last runs only where t = cap - size picks left is at
+    most ``_LOOKAHEAD``: the pass ANDs the one-pick sets of the needy
+    vertices, and when no single vertex finishes the node,
+    ``_picks_finish`` looks for at most t that do, on the same rows.
     """
     n = len(adj)
     full = (1 << n) - 1
     degree = max(mask.bit_count() for mask in adj)
     # One more vertex u in D meets at most deg(u) + k units of need.
     reach = degree + k
-    top = min(k, degree + 1)
-    stack = [(0, 0, [0] * top, 0)]
+    stack = [(0, 0, [0] * min(k, degree + 1))]
     while stack:
-        chosen, excluded, levels, added = stack.pop()
+        chosen, excluded, levels = stack.pop()
         size = chosen.bit_count()
-        if size > cap:
-            continue
-        if added:
-            levels = levels[:]
-            for u in _bit_list(added):
-                nbrs = adj[u]
-                for j in range(top - 1, 0, -1):
-                    levels[j] |= levels[j - 1] & nbrs
-                levels[0] |= nbrs
         # Unit propagation: a vertex short of options is forced, a vertex
         # with exactly as many undecided neighbours as it still needs
         # forces all of them.  A pass that forces something pushes the
-        # grown node to be propagated next; the pass that forces nothing
-        # leaves the needy vertices with their option pools.
+        # grown node, if it fits under the cap, to be propagated next; the
+        # pass that forces nothing leaves the rows of the needy vertices.
         undecided = full & ~chosen & ~excluded
         needy = full & ~chosen & ~levels[-1]
         forced = 0
         outstanding = 0
         slack = n  # exceeds every pool size minus need
         branch_options = 0
-        # (pool size, v, need the pool must meet, options, need)
-        pools: list[tuple[int, int, int, int, int]] = []
+        # (pool size, bit, need, options): the options are v's undecided
+        # neighbours, plus v itself unless excluded
+        rows: list[tuple[int, int, int, int]] = []
         # The one-pick set of a needy v: its undecided neighbours if it
         # needs one more, plus v itself unless excluded.  Only near the
         # cap, where at most ``_LOOKAHEAD`` more picks fit under it, does
@@ -246,35 +251,38 @@ def _solve_component(adj: Sequence[int], k: int, cap: int) -> int:
                     raise RuntimeError(f"excluded vertex {v} cannot be dominated")
                 if avail == need:
                     forced |= options
-                pool_need = need
             else:
                 if avail < need:
                     forced |= bit  # cannot stay outside
                 options |= bit
                 avail += 1
-                pool_need = 1  # choosing v itself meets all of its need
             outstanding += need
             if avail - need < slack:
                 slack, branch_options = avail - need, options
-            pools.append((avail, v, pool_need, options, need))
+            rows.append((avail, bit, need, options))
             if near:
                 one &= options if need == 1 else bit & ~excluded
         if forced:
-            stack.append((chosen | forced, excluded, levels, forced))
+            grown = chosen | forced
+            if grown.bit_count() <= cap:
+                stack.append((grown, excluded, _raised(adj, levels, forced)))
             continue
         if not needy:
             return chosen
 
         # Lower bound: needy vertices with pairwise disjoint option
         # pools, smallest pools first, require that many separate
-        # selections.
+        # picks.  An excluded vertex's pool may need more than one pick,
+        # but counting it once is still sound, and a weaker bound only
+        # lets the search into subtrees that the stronger one proved to
+        # hold no set within the cap: it reaches the same first set.
         bound = 0
         used = 0
-        for _, _, pool_need, options, _ in sorted(pools):
+        for _, _, _, options in sorted(rows):
             if options & used:
                 continue
             used |= options
-            bound += pool_need
+            bound += 1
         if size + bound > cap:
             continue
         # Counting bound: kn / (max degree + k) at the root.
@@ -287,11 +295,7 @@ def _solve_component(adj: Sequence[int], k: int, cap: int) -> int:
         # chosen | found has at most ``cap`` vertices.
         if near:
             found = one & -one or picks > 1 and _picks_finish(
-                adj,
-                [(1 << v, need, options) for _, v, _, options, need in pools],
-                min(pools)[3],
-                excluded,
-                picks,
+                adj, rows, min(rows)[3], excluded, picks
             )
             if not found:
                 continue
@@ -304,15 +308,17 @@ def _solve_component(adj: Sequence[int], k: int, cap: int) -> int:
             if score > pivot_score:
                 pivot, pivot_score = u, score
         bit = 1 << pivot
-        # Pushed last, the include child is searched first.
-        stack.append((chosen, excluded | bit, levels, 0))
-        stack.append((chosen | bit, excluded, levels, bit))
+        # Pushed last, the include child is searched first.  It fits under
+        # the cap: a node branches only with more than ``_LOOKAHEAD`` picks
+        # left.
+        stack.append((chosen, excluded | bit, levels))
+        stack.append((chosen | bit, excluded, _raised(adj, levels, bit)))
     return 0
 
 
 def _picks_finish(
     adj: Sequence[int],
-    rows: list[tuple[int, int, int]],
+    rows: list[tuple[int, int, int, int]],
     pool: int,
     excluded: int,
     picks: int,
@@ -320,15 +326,16 @@ def _picks_finish(
     """A set of at most ``picks`` (>= 2) undecided vertices that finishes
     every needy vertex, as a bitmask, or 0 when there is none.
 
-    ``rows`` holds (bit, need, options) of each needy vertex, with the
-    vertex itself among its options unless it is excluded.  Any finishing
-    set has a member in ``pool``, the options of one needy vertex, so each
-    member a is tried in turn, with the members tried before it excluded.
-    After a, a vertex w still needing one more is finished by any other
-    option of w, one needing more only by picking w itself; with one pick
-    left these one-pick sets must meet, otherwise the test recurses on the
-    smallest pool that a leaves.  The set returned is the first a that
-    works plus the lowest vertex of the meet, or plus the recursion's set.
+    ``rows`` holds (pool size, bit, need, options) of each needy vertex,
+    with the vertex itself among its options unless it is excluded.  Any
+    finishing set has a member in ``pool``, the options of one needy
+    vertex, so each member a is tried in turn, with the members tried
+    before it excluded.  After a, a vertex w still needing one more is
+    finished by any other option of w, one needing more only by picking w
+    itself; with one pick left these one-pick sets must meet, otherwise
+    the test recurses on the smallest pool that a leaves.  The set
+    returned is the first a that works plus the lowest vertex of the meet,
+    or plus the recursion's set.
     """
     last = picks == 2
     tried = 0
@@ -339,7 +346,7 @@ def _picks_finish(
         keep = ~(tried | abit)
         one = -1  # the single picks that finish every vertex a leaves needy
         left = []
-        for bit, need, options in rows:
+        for _, bit, need, options in rows:
             if bit == abit:
                 continue
             if nbrs & bit:
@@ -352,19 +359,13 @@ def _picks_finish(
                 if not one:
                     break
             else:
-                left.append((bit, need, options))
+                left.append((options.bit_count(), bit, need, options))
         else:
             if one:
                 # -1: a left no vertex needy and finishes the node alone
                 return abit if one < 0 else abit | one & -one
             if not last:
-                rest = _picks_finish(
-                    adj,
-                    left,
-                    min([row[2] for row in left], key=int.bit_count),
-                    banned,
-                    picks - 1,
-                )
+                rest = _picks_finish(adj, left, min(left)[3], banned, picks - 1)
                 if rest:
                     return abit | rest
         tried |= abit

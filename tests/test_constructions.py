@@ -18,7 +18,6 @@ from gamma2 import (
     double_subdivision,
     from_edges,
     gadget_a,
-    gadget_a4_star,
     gadget_b,
     gadget_s,
     gadget_t6,
@@ -235,6 +234,21 @@ def test_gadget_b_values():
     assert g.has_edge(4, 6)
     assert gamma_k(g, 2).number == 4
     assert gamma_k(g, 1).number == 3
+
+
+def gadget_a4_star():
+    """The 4-spoke ring gadget with one extra subdivided leaf-leaf edge.
+
+    The underlying graph is a 4-leaf star plus the edge w1 w2, so it has a
+    triangle; the gadget is a fixture for behaviour when the underlying
+    graph has girth below five (brute force puts gamma = gamma_2 = 5 here).
+    """
+    f = from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
+    # The star's edges come first in edge order, so its four pairs are
+    # numbered as in gadget_a(4) and take the same ring: x_t^1 joins
+    # x_{t+1}^2.
+    ring = ((5, 8), (7, 10), (9, 12), (11, 6))
+    return build(ConstructionSpec(f, supp_edges=ring))
 
 
 def test_gadget_a4_star_open_case():

@@ -138,6 +138,15 @@ def test_validate_rejects_adjacent_pair():
         (None, {(False, True): (3, 4), (1, 2): (5, 6)},
          "pair key (False, True) is not an ordered pair of D-vertices"),
         (None, {(0, 1): (3.0, 4), (1, 2): (5, 6)}, "names 3.0, which is not a non-D"),
+        # an entry of the wrong shape is reported, not unpacked
+        (None, {(0, 1, 2): (3, 4), (1, 2): (5, 6)},
+         "pair key (0, 1, 2) is not an ordered pair of D-vertices"),
+        (None, {0: (3, 4), (1, 2): (5, 6)},
+         "pair key 0 is not an ordered pair of D-vertices"),
+        (None, {(0, 1): (3, 4, 5), (1, 2): (5, 6)},
+         "pair (0, 1) maps to (3, 4, 5), which is not two vertices"),
+        (None, {(0, 1): 3, (1, 2): (5, 6)},
+         "pair (0, 1) maps to 3, which is not two vertices"),
     ],
 )
 def test_validate_names_each_pair_rule(d, pair_map, rule):

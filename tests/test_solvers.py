@@ -243,12 +243,11 @@ def test_picks_finish_matches_enumeration():
                 if chosen & bit or need <= 0:
                     continue
                 options = adj[v] & undecided | (0 if excluded & bit else bit)
-                rows.append((bit, need, options))
+                rows.append((options.bit_count(), bit, need, options))
             if not rows:
                 continue
             fewest = _fewest_finishing_picks(adj, chosen, excluded, k, _LOOKAHEAD)
-            smallest = min((row[2] for row in rows), key=int.bit_count)
-            pools = (smallest, rng.choice(rows)[2])
+            pools = (min(rows)[3], rng.choice(rows)[3])
             for picks in range(2, _LOOKAHEAD + 1):
                 expected = fewest is not None and fewest <= picks
                 for pool in pools:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graph import Graph, check_int, from_edges, short_cycle
+from .graph import Graph, check_int, from_edges, from_masks, short_cycle
 from .solvers import CnfFormula, triple_cover_holds
 
 RANDOM_INSTANCE_ATTEMPTS = 1000
@@ -379,20 +379,25 @@ def reduce_3sat(f: CnfFormula) -> SatReduction:
 # ---------------------------------------------------------------------------
 
 
-def random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    """G(n, p): each of the n(n-1)/2 pairs is an edge with probability p.
-
-    The pairs are drawn in ``combinations`` order, one ``rng.random()``
-    each, straight into adjacency rows: they are valid by construction, so
-    no edge list goes through ``from_edges``' checks.
-    """
+def random_masks(rng: random.Random, n: int, p: float) -> tuple[int, ...]:
+    """The adjacency bitmasks of G(n, p): each of the n(n-1)/2 pairs is an
+    edge with probability p, drawn in ``combinations`` order, one
+    ``rng.random()`` each, straight into the masks."""
     check_int("vertex count", n, 0)
-    rows: list[list[int]] = [[] for _ in range(n)]
+    masks = [0] * n
+    bits = [1 << v for v in range(n)]
     for u, v in combinations(range(n), 2):
         if rng.random() < p:
-            rows[u].append(v)
-            rows[v].append(u)
-    return Graph(n, rows)
+            masks[u] |= bits[v]
+            masks[v] |= bits[u]
+    return tuple(masks)
+
+
+def random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    """G(n, p): the ``random_masks`` draw built into a ``Graph`` that keeps
+    those masks.  The pairs are valid by construction, so no edge list
+    goes through ``from_edges``' checks."""
+    return from_masks(random_masks(rng, n, p))
 
 
 def _random_supp_edges(

@@ -3,12 +3,15 @@
 Vertices are always 0..n-1.  Adjacency is stored as one sorted tuple of
 neighbours per vertex; ``Graph`` objects are immutable after construction
 and safe to share between threads.  All other modules build on this one.
+The exact routes read a graph as neighbourhood bitmasks, one int per
+vertex (``Graph.adjacency_masks``); ``component_mask`` is the one flood
+fill on them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 class Graph:
     """Immutable simple graph.
@@ -151,6 +154,25 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, adj)
 
 
+def from_masks(masks: tuple[int, ...]) -> Graph:
+    """The graph whose neighbourhood bitmasks are ``masks``; it keeps that
+    very tuple as its ``adjacency_masks()``, so they are never rebuilt.
+    Trusted like the constructor: bit v of ``masks[u]`` must equal bit u
+    of ``masks[v]``, and no mask may hold its own vertex."""
+    rows = []
+    for mask in masks:
+        row = []
+        while mask:
+            low = mask & -mask
+            row.append(low.bit_length() - 1)
+            mask ^= low
+        rows.append(tuple(row))
+    g = Graph.__new__(Graph)
+    g.n, g._adj, g._masks = len(masks), tuple(rows), masks
+    g._m = sum(map(len, rows)) // 2
+    return g
+
+
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, list[int]]:
     """Induced subgraph on ``s``, relabelled to 0..|s|-1.
 
@@ -210,6 +232,30 @@ def is_connected(g: Graph) -> bool:
     """True iff ``g`` has exactly one component, so the empty graph is not
     connected."""
     return len(components(g)) == 1
+
+
+def component_mask(adj: Sequence[int], within: int) -> int:
+    """The component of the lowest vertex of the mask ``within`` in the
+    subgraph that ``within`` induces, as a mask (0 when ``within`` is).
+    ``adj`` holds neighbourhood bitmasks; the component is flooded one
+    layer of neighbours at a time."""
+    comp = frontier = within & -within
+    while frontier:
+        reach = 0  # neighbours of the last layer, one bit at a time
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & within & ~comp
+        comp |= frontier
+    return comp
+
+
+def masks_connected(adj: Sequence[int]) -> bool:
+    """``is_connected`` on neighbourhood bitmasks: one flood from vertex
+    0 reaches every vertex, and the empty graph is not connected."""
+    full = (1 << len(adj)) - 1
+    return bool(adj) and component_mask(adj, full) == full
 
 
 def short_cycle(g: Graph) -> Optional[int]:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graph import Graph, check_int, check_size, checked_vertices
+from .graph import Graph, check_int, check_size, checked_vertices, component_mask
 
 BRUTE_FORCE_VERTEX_LIMIT = 22
 SAT_VARIABLE_LIMIT = 20
@@ -379,8 +379,8 @@ def _components(
 
     Yields (vertices, rows): the component's host vertices in ascending
     order and its bitmask adjacency relabelled to 0..|C|-1 in that order,
-    the numbering ``induced_subgraph`` gives.  Each component is flooded
-    from the lowest vertex left, one layer of neighbours at a time.  A
+    the numbering ``induced_subgraph`` gives.  ``component_mask`` floods
+    each component from the lowest vertex left.  A
     component that is the whole host comes as (range(n), adj): ``adj``
     itself, neither copied nor relabelled.
     """
@@ -388,15 +388,7 @@ def _components(
     full = (1 << n) - 1
     rest = within
     while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            reach = 0  # neighbours of the last layer, one bit at a time
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & rest & ~comp
-            comp |= frontier
+        comp = component_mask(adj, rest)
         rest ^= comp
         if comp == full:
             yield range(n), adj

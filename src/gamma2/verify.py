@@ -35,10 +35,18 @@ from .constructions import (
     petersen,
     random_graph,
     random_h_instance,
+    random_masks,
     reduce_3sat,
     star,
 )
-from .graph import Graph, check_int, from_edges, is_connected, is_independent
+from .graph import (
+    Graph,
+    check_int,
+    from_edges,
+    from_masks,
+    is_independent,
+    masks_connected,
+)
 from .matching import (
     BRUTE_FORCE_EDGE_LIMIT,
     brute_force_maximum_matching,
@@ -57,6 +65,7 @@ from .solvers import (
     CnfFormula,
     cnf_satisfiable,
     enumerate_min_k_dominating,
+    gamma_eq_gamma2_masks,
     gamma_k,
     is_gamma_gamma2_graph,
     is_k_dominating,
@@ -128,15 +137,17 @@ def _draw(
     rng: random.Random,
     sizes: tuple[int, int],
     densities: Sequence[float],
-    accept: Callable[[Graph], bool],
+    accept: Callable[[tuple[int, ...]], bool],
 ) -> Graph:
     """G(n, p) with n drawn from the closed range ``sizes``, then p from
     ``densities``, drawn again until ``accept`` holds: the one rejection
-    loop that keeps a sample inside its oracle's domain."""
+    loop that keeps a sample inside its oracle's domain.  ``accept`` reads
+    the draw's adjacency masks (``random_masks``), and only the draw it
+    keeps becomes a ``Graph``, one that keeps those masks."""
     while True:
-        g = random_graph(rng, rng.randint(*sizes), rng.choice(densities))
-        if accept(g):
-            return g
+        masks = random_masks(rng, rng.randint(*sizes), rng.choice(densities))
+        if accept(masks):
+            return from_masks(masks)
 
 
 def random_spec(
@@ -263,7 +274,8 @@ def _check_matching_oracle(rng: random.Random, budget: int) -> Iterator[tuple[bo
     def sample(_: int) -> Graph:
         # inside the exhaustive oracle's edge cap
         return _draw(rng, (1, 12), (0.2, 0.35, 0.5),
-                     lambda g: g.m <= BRUTE_FORCE_EDGE_LIMIT)
+                     lambda adj: sum(map(int.bit_count, adj)) // 2
+                     <= BRUTE_FORCE_EDGE_LIMIT)
 
     fixtures = [cycle(4), cycle(5), petersen()]
     for g in _fixtures_then_samples(fixtures, sample, budget):
@@ -282,7 +294,8 @@ def _check_gamma_lower_bound(rng: random.Random, budget: int) -> Iterator[tuple[
     # For max degree >= k >= 2: gamma_k >= gamma + k - 2.  Graphs of
     # maximum degree below 2 test nothing, so they are drawn again.
     for _ in range(budget):
-        g = _draw(rng, (2, 12), (0.2, 0.4, 0.6), lambda g: g.max_degree() >= 2)
+        g = _draw(rng, (2, 12), (0.2, 0.4, 0.6),
+                  lambda adj: max(map(int.bit_count, adj)) >= 2)
         base = gamma_k(g, 1).number
         ok = True
         for k in (2, 3):
@@ -293,9 +306,12 @@ def _check_gamma_lower_bound(rng: random.Random, budget: int) -> Iterator[tuple[
 
 
 def _equality_graphs(rng: random.Random, budget: int) -> Iterator[Graph]:
+    # Connected graphs with gamma == gamma_2, selected by the exact
+    # decision, which assumes none of the lemmas the checks test.
     for _ in range(budget):
         yield _draw(rng, (2, 10), (0.3, 0.5, 0.7),
-                    lambda g: is_connected(g) and is_gamma_gamma2_graph(g))
+                    lambda adj: masks_connected(adj)
+                    and gamma_eq_gamma2_masks(adj, [(1 << len(adj)) - 1]))
 
 
 def _check_min_degree_necessity(rng: random.Random, budget: int) -> Iterator[tuple[bool, Instance]]:
@@ -441,7 +457,8 @@ def perfect_fixtures() -> list[Graph]:
 def _check_perfect_triple_agreement(rng: random.Random, budget: int) -> Iterator[tuple[bool, Instance]]:
     def sample(_: int) -> Graph:
         return _draw(rng, (4, 10), (0.3, 0.4, 0.5),
-                     lambda g: is_connected(g) and g.min_degree() >= 2)
+                     lambda adj: min(map(int.bit_count, adj)) >= 2
+                     and masks_connected(adj))
 
     for g in _fixtures_then_samples(perfect_fixtures(), sample, budget):
         structural = recognize_perfect(g).perfect

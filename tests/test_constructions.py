@@ -29,8 +29,17 @@ from gamma2 import (
     random_h_instance,
     reduce_3sat,
 )
-from gamma2.constructions import complete, cycle, path, petersen, random_graph, star
+from gamma2.constructions import (
+    complete,
+    cycle,
+    path,
+    petersen,
+    random_graph,
+    random_masks,
+    star,
+)
 from gamma2.formats import instance_to_json
+from gamma2.graph import from_masks
 from gamma2.recognition import validate_h
 
 
@@ -368,6 +377,23 @@ def test_random_graph_draws_like_an_edge_list(p):
         expected = from_edges(n, [e for e in pairs if twin.random() < p])
         assert random_graph(rng, n, p) == expected
         assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("p", [0, 0.3, 1])
+def test_random_masks_draw_the_masks_of_random_graph(p):
+    # One draw loop: the mask draw takes the same random() calls as the
+    # graph, and the graph keeps the drawn tuple rather than rebuilding it.
+    rng, twin = random.Random(f"masks {p}"), random.Random(f"masks {p}")
+    for n in range(31):
+        masks = random_masks(rng, n, p)
+        assert masks == random_graph(twin, n, p).adjacency_masks()
+        assert rng.random() == twin.random()
+        g = from_masks(masks)
+        assert g.adjacency_masks() is masks
+        h = from_edges(n, [
+            (u, v) for u, v in combinations(range(n), 2) if masks[u] >> v & 1
+        ])
+        assert (g, g.m) == (h, h.m)
 
 
 def test_random_h_instance_is_deterministic_and_valid():

@@ -32,12 +32,13 @@ from gamma2.constructions import (
     gadget_s,
     path,
     petersen,
+    random_graph,
     random_h_instance,
     star,
 )
-from gamma2.graph import short_cycle
+from gamma2.graph import masks_connected, short_cycle
 from gamma2.solvers import gamma_k
-from gamma2.verify import random_graph, run_verify
+from gamma2.verify import run_verify
 
 
 def edge_lists(max_n: int = 10):
@@ -171,6 +172,7 @@ def test_is_connected_agrees_with_components():
     ]
     connected = [is_connected(g) for g in graphs]
     assert connected == [len(components(g)) == 1 for g in graphs]
+    assert connected == [masks_connected(g.adjacency_masks()) for g in graphs]
     assert connected[:4] == [False, True, False, True]
     assert 50 < connected.count(True) < 250  # both answers are exercised
 

@@ -11,9 +11,8 @@ from gamma2 import (
     from_edges,
     maximum_matching,
 )
-from gamma2.constructions import complete, cycle, path, petersen
+from gamma2.constructions import complete, cycle, path, petersen, random_graph
 from gamma2.matching import BRUTE_FORCE_EDGE_LIMIT
-from gamma2.verify import random_graph
 
 
 def assert_valid_matching(g, m):

@@ -11,7 +11,7 @@ import pytest
 from gamma2 import verify
 from gamma2.constructions import cycle
 from gamma2.formats import to_text as _render
-from gamma2.graph import from_edges
+from gamma2.graph import Graph, from_edges
 from gamma2.matching import Matching
 from gamma2.verify import _CHECKS, run_verify
 
@@ -93,6 +93,37 @@ def test_sampled_instances_are_pinned(name):
         for _, item in body(random.Random(f"{seed}:{name}"), budget):
             h.update(_render(item).encode() + b";")
     assert h.hexdigest() == SAMPLED_DIGESTS[name]
+
+
+def test_rejected_draws_build_no_graph(monkeypatch):
+    # The accept test reads the drawn masks; only a kept draw becomes a
+    # Graph (by the constructor or by from_masks, the two routes that build
+    # one from scratch), and it keeps the very masks that were drawn.
+    builds, drawn = [], []
+    real_init, real_from_masks = Graph.__init__, verify.from_masks
+    real_draw = verify.random_masks
+
+    def counting_init(self, n, adjacency):
+        builds.append(n)
+        real_init(self, n, adjacency)
+
+    def counting_from_masks(masks):
+        builds.append(len(masks))
+        return real_from_masks(masks)
+
+    def recording_draw(rng, n, p):
+        drawn.append(real_draw(rng, n, p))
+        return drawn[-1]
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    monkeypatch.setattr(verify, "from_masks", counting_from_masks)
+    monkeypatch.setattr(verify, "random_masks", recording_draw)
+    graphs = list(verify._equality_graphs(random.Random("1:min-degree-necessity"), 5))
+    assert len(graphs) == len(builds) == 5
+    assert len(drawn) > 50  # each draw meets the accept test
+    kept = [g.adjacency_masks() for g in graphs]
+    assert all(any(m is d for d in drawn) for m in kept)
+    assert kept[-1] is drawn[-1]
 
 
 def test_only_the_first_failing_instance_is_rendered(monkeypatch):

@@ -7,7 +7,6 @@ from .graph import (
     induced_subgraph,
     is_connected,
     is_independent,
-    power,
 )
 from .matching import (
     Matching,
@@ -49,7 +48,6 @@ from .constructions import (
 from .recognition import (
     AWitness,
     BWitness,
-    HValidationReport,
     InvalidHInstanceError,
     PerfectVerdict,
     RecognitionVerdict,

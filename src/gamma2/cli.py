@@ -20,6 +20,7 @@ check, 2 usage or parse error.  A path of ``-`` reads stdin.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -60,10 +61,12 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def integer(text: str) -> int:
-    """The argparse type of every integer argument: ASCII decimal, the
-    rule of the file formats, so ``+3``, ``1_0`` and other scripts' digits
-    are usage errors."""
-    formats._check_decimal(text)
+    """The argparse type of every integer argument: the whole text is
+    ASCII decimal (``-?[0-9]+``), the rule of the file formats, so ``+3``,
+    ``1_0``, surrounding whitespace and other scripts' digits are usage
+    errors."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not ASCII decimal: {text!r}")
     return int(text)
 
 

@@ -16,18 +16,16 @@ from typing import Iterable, Iterator, Optional, Sequence
 class Graph:
     """Immutable simple graph.
 
-    Do not call the constructor with untrusted data; it assumes the
-    adjacency is already symmetric and loop-free.  Use :func:`from_edges`
-    to build a graph from an edge list with full validation.
+    The constructor takes one neighbour row per vertex and trusts the rows
+    to be symmetric and loop-free, so never call it with untrusted data:
+    :func:`from_edges` builds a graph from an edge list, fully validated.
     """
 
     __slots__ = ("n", "_adj", "_m", "_masks")
 
-    def __init__(self, n: int, adjacency: Iterable[Iterable[int]]):
+    def __init__(self, adjacency: Iterable[Iterable[int]]):
         adj = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
-        if len(adj) != n:
-            raise ValueError(f"adjacency has {len(adj)} rows, expected {n}")
-        self.n = n
+        self.n = len(adj)
         self._adj = adj
         self._m = sum(len(row) for row in adj) // 2
         self._masks: Optional[tuple[int, ...]] = None
@@ -151,7 +149,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"edge #{idx} ({u}, {v}) is a self-loop")
         adj[u].add(v)
         adj[v].add(u)
-    return Graph(n, adj)
+    return Graph(adj)
 
 
 def from_masks(masks: tuple[int, ...]) -> Graph:
@@ -185,26 +183,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, list[int]]:
         [position[u] for u in g.neighbors(old) if u in position]
         for old in mapping
     ]
-    return Graph(len(mapping), adj), mapping
-
-
-def power(g: Graph, k: int) -> Graph:
-    """k-th graph power: join vertices at distance 1..k (BFS per vertex)."""
-    check_int("k", k, 1)
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for source in range(g.n):
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            if dist[v] == k:
-                continue
-            for u in g.neighbors(v):
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        adj[source] = set(dist) - {source}
-    return Graph(g.n, adj)
+    return Graph(adj), mapping
 
 
 def components(g: Graph) -> list[list[int]]:

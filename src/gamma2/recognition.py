@@ -35,8 +35,6 @@ from .graph import (
     checked_vertices,
     components,
     from_edges,
-    induced_subgraph,
-    power,
     short_cycle,
 )
 from .matching import maximum_matching
@@ -51,31 +49,21 @@ PERFECT_ORACLE_VERTEX_LIMIT = 13
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HValidationReport:
-    """Outcome of :func:`validate_h`: ``failures`` lists every violated
-    rule, and ``valid`` is True iff there is none."""
-
-    failures: tuple[str, ...]
-
-    @property
-    def valid(self) -> bool:
-        return not self.failures
-
-
 class InvalidHInstanceError(ValueError):
-    """Raised when recognition is asked about a malformed instance."""
+    """Raised on a malformed instance, with the ``failures`` that
+    :func:`validate_h` found."""
 
-    def __init__(self, report: HValidationReport):
-        self.report = report
+    def __init__(self, failures: tuple[str, ...]):
+        self.failures = failures
         super().__init__(
             "not a valid subdivision instance with underlying girth >= 5: "
-            + "; ".join(report.failures)
+            + "; ".join(failures)
         )
 
 
-def validate_h(inst: PartitionedInstance) -> HValidationReport:
-    """Check every structural rule of the recognizable instance family.
+def validate_h(inst: PartitionedInstance) -> tuple[str, ...]:
+    """Every violated structural rule of the recognizable instance family,
+    one message each: the tuple is empty iff the instance is valid.
 
     The specified set must be independent, every non-D vertex must be the
     subdivision vertex of exactly one pair, each pair vertex must see
@@ -88,7 +76,7 @@ def validate_h(inst: PartitionedInstance) -> HValidationReport:
     try:
         checked_vertices(g, d)
     except ValueError as exc:  # "vertex v outside 0..n-1"
-        return HValidationReport((f"D-{exc}",))
+        return (f"D-{exc}",)
 
     for u in sorted(d):
         for w in g.neighbors(u):
@@ -153,16 +141,21 @@ def validate_h(inst: PartitionedInstance) -> HValidationReport:
     elif girth == 4:
         failures.append("underlying graph contains a 4-cycle")
 
-    return HValidationReport(tuple(failures))
+    return tuple(failures)
 
 
 def extract_underlying(g: Graph, d: frozenset[int]) -> Graph:
-    """Underlying graph recovered as the square of ``g`` induced on ``d``.
-
-    Vertices are relabelled 0..|d|-1 in sorted order of ``d``.
-    """
-    sub, _ = induced_subgraph(power(g, 2), d)
-    return sub
+    """Underlying graph recovered as the square of ``g`` induced on the
+    vertex set ``d``, relabelled 0..|d|-1 in sorted order: two D-vertices
+    are adjacent iff they are adjacent in ``g`` or share a neighbour."""
+    order = sorted(checked_vertices(g, d))
+    position = {v: i for i, v in enumerate(order)}
+    # the rows of v and of its neighbours reach every vertex within two
+    return Graph(
+        {position[u] for w in (v, *g.neighbors(v)) for u in g.neighbors(w)
+         if u in position and u != v}
+        for v in order
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +280,9 @@ def recognize_h(inst: PartitionedInstance) -> RecognitionVerdict:
     all ~s^2 / 2 wedges at it (ROADMAP.md times this on hub instances).
     Raises :class:`InvalidHInstanceError` on malformed input.
     """
-    report = validate_h(inst)
-    if not report.valid:
-        raise InvalidHInstanceError(report)
+    failures = validate_h(inst)
+    if failures:
+        raise InvalidHInstanceError(failures)
     g, d = inst.g, inst.d
 
     pair_of: dict[int, tuple[int, int]] = {}
@@ -333,7 +326,7 @@ def recognize_h(inst: PartitionedInstance) -> RecognitionVerdict:
         # removed pair shares all rows but its own two.
         local = [x for key in keys for x in inst.pair_map[key]]
         index = {v: i for i, v in enumerate(local)}
-        whole = Graph(len(local), [
+        whole = Graph([
             [index[u] for u in g.neighbors(v) if u in index] + [i ^ 1]
             for i, v in enumerate(local)
         ])

@@ -374,11 +374,14 @@ def test_solve_underscore_token_exits_2(tmp_path, capsys):
         ["gen", "a", "+3"],
         ["gen", "s", "1_0,2"],
         ["solve", "--k", "1_0", "-"],
+        ["gen", "a", " 3"],
+        ["solve", "--k", "2 ", "-"],
+        ["gen", "s", "3, 2"],
     ],
 )
 def test_integer_arguments_are_ascii_decimal(capsys, argv):
-    # int() reads all four; the file formats' decimal rule refuses them,
-    # in argparse (which exits) or, for the multiplicity list, in main
+    # int() reads all seven; only a whole -?[0-9]+ is an integer argument,
+    # refused in argparse (which exits) or, for the multiplicity list, in main
     try:
         code = main(argv)
     except SystemExit as exc:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gamma2 import (
     CnfFormula,
+    Graph,
     brute_force_maximum_matching,
     cnf_satisfiable,
     components,
@@ -23,7 +24,6 @@ from gamma2 import (
     is_independent,
     is_k_dominating,
     perfect_oracle,
-    power,
 )
 from gamma2.constructions import (
     complete,
@@ -59,6 +59,26 @@ def test_from_edges_deduplicates():
     g = from_edges(3, [(0, 1), (1, 0), (0, 1)])
     assert g.m == 1
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
+
+
+def test_constructor_takes_one_row_per_vertex():
+    g = Graph([{1}, [2, 0], (1,), ()])
+    assert g.n == 4 and g.m == 2
+    assert g == from_edges(4, [(0, 1), (1, 2)])
+    assert Graph([]) == from_edges(0, [])
+
+
+def test_degree_extremes_of_the_empty_graph_are_errors():
+    empty = from_edges(0, [])
+    with pytest.raises(ValueError, match="minimum degree of the empty graph"):
+        empty.min_degree()
+    with pytest.raises(ValueError, match="maximum degree of the empty graph"):
+        empty.max_degree()
+
+
+def test_a_graph_never_equals_a_non_graph():
+    assert (from_edges(1, []) == 1) is False
+    assert from_edges(0, []) != ()
 
 
 def test_from_edges_rejects_self_loop():
@@ -129,31 +149,6 @@ def test_induced_on_everything_is_identity(ne):
     sub, mapping = induced_subgraph(g, frozenset(range(n)))
     assert sub == g
     assert mapping == list(range(n))
-
-
-def test_power_of_path():
-    g = power(path(4), 2)
-    assert set(g.edge_list()) == {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}
-
-
-def test_power_saturates():
-    assert power(cycle(6), 3) == complete(6)
-
-
-@given(edge_lists(8), st.integers(1, 4))
-def test_power_is_monotone_in_k(ne, k):
-    n, edges = ne
-    g = from_edges(n, edges)
-    smaller = set(power(g, k).edge_list())
-    bigger = set(power(g, k + 1).edge_list())
-    assert smaller <= bigger
-
-
-def test_power_requires_positive_k():
-    # 1.5 used to give K6 on P6 and True the first power.
-    for k in (0, -1, 1.5, 2.0, True):
-        with pytest.raises(ValueError, match="k must be an int >= 1"):
-            power(path(6), k)
 
 
 def test_components_partition():
@@ -343,7 +338,6 @@ INT_RULE = {
     "gamma_k_bruteforce": (
         lambda: gamma_k_bruteforce(path(3), 0), "k must be an int >= 1, got 0",
     ),
-    "power": (lambda: power(path(3), 1.5), "k must be an int >= 1, got 1.5"),
     "from_edges": (
         lambda: from_edges(2.5, []), "vertex count must be an int >= 0, got 2.5",
     ),

@@ -51,6 +51,7 @@ from gamma2.solvers import gamma_and_gamma2, gamma_k_bruteforce
 from gamma2.verify import (
     h_instance_stream,
     perfect_fixtures,
+    random_spec,
     t6_augmented_fixtures,
 )
 
@@ -64,9 +65,7 @@ def shift(g, offset, n):
 
 def test_validate_accepts_built_instances():
     for inst in (double_subdivision(path(3)), gadget_b(), gadget_a(3)):
-        report = validate_h(inst)
-        assert report.valid
-        assert report.failures == ()
+        assert validate_h(inst) == ()
 
 
 def test_validate_rejects_dependent_specified_set():
@@ -77,9 +76,8 @@ def test_validate_rejects_dependent_specified_set():
         pair_map=base.pair_map,
         labels=base.labels,
     )
-    report = validate_h(tampered)
-    assert not report.valid
-    assert any("independent" in msg for msg in report.failures)
+    failures = validate_h(tampered)
+    assert any("independent" in msg for msg in failures)
 
 
 def test_validate_rejects_wrong_pair_neighbourhood():
@@ -91,9 +89,8 @@ def test_validate_rejects_wrong_pair_neighbourhood():
         pair_map=base.pair_map,
         labels=base.labels,
     )
-    report = validate_h(tampered)
-    assert not report.valid
-    assert any("D-neighbourhood [0, 1, 2]" in msg for msg in report.failures)
+    failures = validate_h(tampered)
+    assert any("D-neighbourhood [0, 1, 2]" in msg for msg in failures)
 
 
 def test_validate_rejects_uncovered_outside_vertex():
@@ -104,9 +101,8 @@ def test_validate_rejects_uncovered_outside_vertex():
         pair_map=base.pair_map,
         labels=base.labels,
     )
-    report = validate_h(tampered)
-    assert not report.valid
-    assert any("vertex 4 is outside D" in msg for msg in report.failures)
+    failures = validate_h(tampered)
+    assert any("vertex 4 is outside D" in msg for msg in failures)
 
 
 def test_validate_rejects_adjacent_pair():
@@ -117,9 +113,8 @@ def test_validate_rejects_adjacent_pair():
         pair_map=base.pair_map,
         labels=base.labels,
     )
-    report = validate_h(tampered)
-    assert not report.valid
-    assert any("inside pair (0, 1): (2, 3)" in msg for msg in report.failures)
+    failures = validate_h(tampered)
+    assert any("inside pair (0, 1): (2, 3)" in msg for msg in failures)
 
 
 # double_subdivision(path(3)): D = {0, 1, 2}, pairs (0, 1): (3, 4) and
@@ -156,14 +151,13 @@ def test_validate_names_each_pair_rule(d, pair_map, rule):
         d=base.d if d is None else frozenset(d),
         pair_map=base.pair_map if pair_map is None else pair_map,
     )
-    report = validate_h(tampered)
-    assert not report.valid
-    assert any(rule in msg for msg in report.failures), report.failures
+    failures = validate_h(tampered)
+    assert any(rule in msg for msg in failures), failures
     # P3 has no cycle, so the girth rule has nothing to report
-    assert not any("underlying graph" in msg for msg in report.failures)
+    assert not any("underlying graph" in msg for msg in failures)
     # only pairs of two valid non-D vertices are tested for an edge inside:
     # (0, 4) is an edge of D-vertex 0, not a supplementary edge
-    assert not any("inside pair" in msg for msg in report.failures)
+    assert not any("inside pair" in msg for msg in failures)
 
 
 def test_validate_reports_the_girth_rule_beside_a_broken_pair():
@@ -171,8 +165,8 @@ def test_validate_reports_the_girth_rule_beside_a_broken_pair():
     # triangle: every violated rule is reported
     base = double_subdivision(complete(3))
     pair_map = {**base.pair_map, (0, 1): (3, 3)}
-    report = validate_h(replace(base, pair_map=pair_map))
-    assert report.failures == (
+    failures = validate_h(replace(base, pair_map=pair_map))
+    assert failures == (
         "pair (0, 1) lists the same vertex twice",
         "vertex 3 is outside D but not a subdivision vertex of any pair",
         "vertex 4 is outside D but not a subdivision vertex of any pair",
@@ -182,14 +176,12 @@ def test_validate_reports_the_girth_rule_beside_a_broken_pair():
 
 def test_validate_rejects_short_cycles_in_underlying():
     for f in (complete(3), complete(4)):  # K4 also has 4-cycles
-        report = validate_h(double_subdivision(f))
-        assert not report.valid
-        assert any("triangle" in msg for msg in report.failures)
-        assert not any("4-cycle" in msg for msg in report.failures)
+        failures = validate_h(double_subdivision(f))
+        assert any("triangle" in msg for msg in failures)
+        assert not any("4-cycle" in msg for msg in failures)
     square = double_subdivision(cycle(4))
-    report = validate_h(square)
-    assert not report.valid
-    assert any("4-cycle" in msg for msg in report.failures)
+    failures = validate_h(square)
+    assert any("4-cycle" in msg for msg in failures)
 
 
 def test_extract_underlying_roundtrip():
@@ -198,6 +190,37 @@ def test_extract_underlying_roundtrip():
         assert extract_underlying(inst.g, inst.d) == f
     b = gadget_b()
     assert extract_underlying(b.g, b.d) == from_edges(4, [(0, 1), (2, 3)])
+
+
+def test_extract_underlying_is_the_square_induced_on_d():
+    # built instances, and random graphs whose D is any subset (edges
+    # inside D included), against networkx's square
+    nx = pytest.importorskip("networkx")
+    rng = random.Random("extract-underlying")
+    cases = []
+    for _ in range(40):
+        inst = build(random_spec(rng, (0.4, 0.6, 0.8), (2, 3), 0.1))
+        cases.append((inst.g, inst.d))
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(0, 9), rng.choice((0.2, 0.4, 0.7)))
+        cases.append((g, frozenset(v for v in range(g.n) if rng.random() < 0.6)))
+    for g, d in cases:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        square = nx.power(h, 2).subgraph(d)
+        label = {v: i for i, v in enumerate(sorted(d))}
+        expected = from_edges(
+            len(d), [(label[u], label[v]) for u, v in square.edges()]
+        )
+        assert extract_underlying(g, d) == expected
+
+
+def test_extract_underlying_checks_d():
+    g = double_subdivision(path(3)).g
+    for d in ({0, 1, 9}, {0, True}):
+        with pytest.raises(ValueError, match="outside 0..6"):
+            extract_underlying(g, frozenset(d))
 
 
 # --- equality decision -----------------------------------------------------
@@ -311,8 +334,11 @@ def test_tampered_witness_fails_replay():
 
 
 def test_recognize_rejects_invalid_instance():
-    with pytest.raises(InvalidHInstanceError):
-        recognize_h(double_subdivision(complete(3)))
+    triangle = double_subdivision(complete(3))
+    with pytest.raises(InvalidHInstanceError) as info:
+        recognize_h(triangle)
+    assert info.value.failures == validate_h(triangle)
+    assert info.value.failures == ("underlying graph contains a triangle",)
 
 
 def _dense_star(seed):

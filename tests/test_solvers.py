@@ -758,6 +758,12 @@ def test_triple_cover_needs_disjoint_clause():
     assert not triple_cover_holds(short)
 
 
+def test_covered_formula_supports_six_and_seven_variables_only():
+    with pytest.raises(ValueError) as info:
+        covered_formula(random.Random(0), 5)
+    assert str(info.value) == "covered_formula supports k in {6, 7}, got 5"
+
+
 def test_frozen_unsat_fixtures():
     for f in (UNSAT_COVERED_6, UNSAT_COVERED_7):
         assert triple_cover_holds(f)

@@ -103,9 +103,9 @@ def test_rejected_draws_build_no_graph(monkeypatch):
     real_init, real_from_masks = Graph.__init__, verify.from_masks
     real_draw = verify.random_masks
 
-    def counting_init(self, n, adjacency):
-        builds.append(n)
-        real_init(self, n, adjacency)
+    def counting_init(self, adjacency):
+        builds.append(adjacency)
+        real_init(self, adjacency)
 
     def counting_from_masks(masks):
         builds.append(len(masks))

@@ -174,11 +174,10 @@ def parse_instance(text: str) -> PartitionedInstance:
     labels: dict[int, str] = {}
     for key_str, value in raw_labels.items():
         try:
-            _check_decimal(key_str)
             vertex = int(key_str)
         except ValueError:
             vertex = -1
-        # only a vertex's own decimal form: not " 7", "07" or "-0"
+        # only a vertex's own ASCII decimal form: not " 7", "+1" or "1_0"
         if not (0 <= vertex < n and str(vertex) == key_str):
             raise ParseError(f"label key {key_str!r} is not a vertex")
         labels[vertex] = str(value)

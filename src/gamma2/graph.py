@@ -5,7 +5,7 @@ neighbours per vertex; ``Graph`` objects are immutable after construction
 and safe to share between threads.  All other modules build on this one.
 The exact routes read a graph as neighbourhood bitmasks, one int per
 vertex (``Graph.adjacency_masks``); ``component_mask`` is the one flood
-fill on them.
+fill on them, and ``bit_list`` the one set-bit lister.
 """
 
 from __future__ import annotations
@@ -152,19 +152,23 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(adj)
 
 
+def bit_list(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
 def from_masks(masks: tuple[int, ...]) -> Graph:
     """The graph whose neighbourhood bitmasks are ``masks``; it keeps that
-    very tuple as its ``adjacency_masks()``, so they are never rebuilt.
+    very tuple as its ``adjacency_masks()``, so they are never rebuilt,
+    and reads each row off its mask with :func:`bit_list`.
     Trusted like the constructor: bit v of ``masks[u]`` must equal bit u
     of ``masks[v]``, and no mask may hold its own vertex."""
-    rows = []
-    for mask in masks:
-        row = []
-        while mask:
-            low = mask & -mask
-            row.append(low.bit_length() - 1)
-            mask ^= low
-        rows.append(tuple(row))
+    rows = [tuple(bit_list(mask)) for mask in masks]  # tuple(genexpr) costs RSS
     g = Graph.__new__(Graph)
     g.n, g._adj, g._masks = len(masks), tuple(rows), masks
     g._m = sum(map(len, rows)) // 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph, check_size
+from .graph import Graph, bit_list, check_size
 
 BRUTE_FORCE_EDGE_LIMIT = 25
 
@@ -163,22 +163,12 @@ def brute_force_maximum_matching(g: Graph) -> Matching:
         # Even pairing up every remaining free vertex cannot beat the best.
         if len(chosen) + free.bit_count() // 2 <= len(best_edges):
             return
-        pivot = -1
-        rest = free
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            if masks[v] & free:
-                pivot = v
-                break
-            rest &= rest - 1
+        pivot = next((v for v in bit_list(free) if masks[v] & free), -1)
         if pivot == -1:
             if len(chosen) > len(best_edges):
                 best_edges = chosen.copy()
             return
-        candidates = masks[pivot] & free
-        while candidates:
-            u = (candidates & -candidates).bit_length() - 1
-            candidates &= candidates - 1
+        for u in bit_list(masks[pivot] & free):
             chosen.append((pivot, u))
             search(free & ~(1 << pivot) & ~(1 << u))
             chosen.pop()

@@ -270,7 +270,8 @@ def recognize_h(inst: PartitionedInstance) -> RecognitionVerdict:
     underlying graph has girth >= 5.
 
     Cost: quadratic at high-degree centres, not near-linear.  The bridge
-    scan is one pass over the edges.  Each D-vertex's local
+    scan is one pass over the edges.  Both scans read their pairs from
+    ``pair_map``, indexed once in sorted key order.  Each D-vertex's local
     ``Graph``, with every pair edge in it, is built once from the rows
     of its own neighbours; per incident pair, ``Graph.without_edge``
     drops that pair's edge, sharing the other rows, and one maximum
@@ -285,13 +286,12 @@ def recognize_h(inst: PartitionedInstance) -> RecognitionVerdict:
         raise InvalidHInstanceError(failures)
     g, d = inst.g, inst.d
 
-    pair_of: dict[int, tuple[int, int]] = {}
-    partner: dict[int, int] = {}
-    for key, (x1, x2) in inst.pair_map.items():
-        pair_of[x1] = key
-        pair_of[x2] = key
-        partner[x1] = x2
-        partner[x2] = x1
+    pair_of = {x: key for key, pair in inst.pair_map.items() for x in pair}
+    # after validation a D-vertex's keys are its neighbours' pairs
+    keys_at: dict[int, list[tuple[int, int]]] = {v: [] for v in d}
+    for key in sorted(inst.pair_map):
+        for v in key:
+            keys_at[v].append(key)
 
     # Bridge scan: a supplementary edge whose endpoints have disjoint
     # D-neighbourhoods spans two independent underlying edges.  After
@@ -303,9 +303,11 @@ def recognize_h(inst: PartitionedInstance) -> RecognitionVerdict:
         a2, b2 = pair_of[v]
         if a1 in (a2, b2) or b1 in (a2, b2):
             continue
+        # each pair as pair_map lists it, turned to put the bridge end first
+        p1, p2 = inst.pair_map[(a1, b1)], inst.pair_map[(a2, b2)]
         witness = BWitness(
-            v1=a1, u1=b1, x1=(u, partner[u]),
-            v2=a2, u2=b2, x2=(v, partner[v]),
+            v1=a1, u1=b1, x1=p1 if p1[0] == u else p1[::-1],
+            v2=a2, u2=b2, x2=p2 if p2[0] == v else p2[::-1],
         )
         return RecognitionVerdict(False, witness)
 
@@ -315,10 +317,7 @@ def recognize_h(inst: PartitionedInstance) -> RecognitionVerdict:
     # the local graph: it keeps a perfect matching iff the ring exists,
     # and the matching traces it.
     matching_calls = 0
-    for center in sorted(d):
-        # after validation the centre's neighbours are exactly the
-        # vertices of its incident pairs
-        keys = sorted({pair_of[x] for x in g.neighbors(center)})
+    for center, keys in sorted(keys_at.items()):
         if len(keys) < 2:
             continue
         # Local vertices 2s and 2s + 1 are the pair keys[s], so i ^ 1 is

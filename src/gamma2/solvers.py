@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graph import Graph, check_int, check_size, checked_vertices, component_mask
+from .graph import Graph, bit_list, check_int, check_size, checked_vertices, component_mask
 
 BRUTE_FORCE_VERTEX_LIMIT = 22
 SAT_VARIABLE_LIMIT = 20
@@ -115,7 +115,7 @@ def _greedy_cover_mask(adj: Sequence[int], k: int) -> int:
         u = score.index(max(score))
         chosen |= 1 << u
         score[u] = -1
-        nbrs = _bit_list(adj[u])
+        nbrs = bit_list(adj[u])
         if need[u]:
             need[u] = 0
             needy -= 1
@@ -127,7 +127,7 @@ def _greedy_cover_mask(adj: Sequence[int], k: int) -> int:
                 score[v] -= 1
                 if not need[v]:
                     needy -= 1
-                    for w in _bit_list(adj[v]):
+                    for w in bit_list(adj[v]):
                         score[w] -= 1
     return chosen
 
@@ -141,23 +141,13 @@ def _drop_redundant(adj: Sequence[int], k: int, chosen: int) -> int:
     neighbour of u outside the set.  A drop only lowers counts and grows
     the outside, so it never makes an earlier vertex removable again.
     """
-    for u in _bit_list(chosen):
+    for u in bit_list(chosen):
         rest = chosen & ~(1 << u)
         if (adj[u] & rest).bit_count() >= k and all(
-            (adj[w] & rest).bit_count() >= k for w in _bit_list(adj[u] & ~chosen)
+            (adj[w] & rest).bit_count() >= k for w in bit_list(adj[u] & ~chosen)
         ):
             chosen = rest
     return chosen
-
-
-def _bit_list(mask: int) -> list[int]:
-    """Positions of the set bits of ``mask``, ascending."""
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return bits
 
 
 def _raised(adj: Sequence[int], levels: list[int], added: int) -> list[int]:
@@ -165,7 +155,7 @@ def _raised(adj: Sequence[int], levels: list[int], added: int) -> list[int]:
     counted as one more chosen neighbour of its neighbours."""
     levels = levels[:]
     top = len(levels)
-    for u in _bit_list(added):
+    for u in bit_list(added):
         nbrs = adj[u]
         for j in range(top - 1, 0, -1):
             levels[j] |= levels[j - 1] & nbrs
@@ -303,7 +293,7 @@ def _solve_component(adj: Sequence[int], k: int, cap: int) -> int:
 
         # Branch on the most constrained vertex's most useful option.
         pivot, pivot_score = -1, -1
-        for u in _bit_list(branch_options):
+        for u in bit_list(branch_options):
             score = (adj[u] & needy).bit_count() + (needy >> u & 1)
             if score > pivot_score:
                 pivot, pivot_score = u, score
@@ -339,7 +329,7 @@ def _picks_finish(
     """
     last = picks == 2
     tried = 0
-    for a in _bit_list(pool):
+    for a in bit_list(pool):
         abit = 1 << a
         nbrs = adj[a]
         banned = excluded | tried
@@ -393,7 +383,7 @@ def _components(
         if comp == full:
             yield range(n), adj
             return
-        vertices = _bit_list(comp)
+        vertices = bit_list(comp)
         label = {1 << v: 1 << i for i, v in enumerate(vertices)}  # host bit
         sub = []
         for v in vertices:
@@ -460,7 +450,7 @@ def gamma_k(g: Graph, k: int) -> DominationResult:
         while found := _solve_component(sub, k, best.bit_count() - 1):
             best = found
         number += best.bit_count()
-        witness += [vertices[i] for i in _bit_list(best)]
+        witness += [vertices[i] for i in bit_list(best)]
     return DominationResult(k, number, frozenset(witness))
 
 
@@ -485,7 +475,7 @@ def _min_k_dominating(g: Graph, k: int, what: str) -> Iterator[frozenset[int]]:
         for subset in map(sum, combinations(bits, size)):
             if _bit_is_k_dominating(masks, subset, k):
                 found = True
-                yield frozenset(v for v in range(g.n) if subset >> v & 1)
+                yield frozenset(bit_list(subset))
         if found:
             return
 

@@ -36,7 +36,7 @@ from gamma2.constructions import (
     random_h_instance,
     star,
 )
-from gamma2.graph import masks_connected, short_cycle
+from gamma2.graph import bit_list, masks_connected, short_cycle
 from gamma2.solvers import gamma_k
 from gamma2.verify import run_verify
 
@@ -220,6 +220,14 @@ def test_adjacency_masks():
     masks = g.adjacency_masks()
     assert masks[0] == (1 << 1) | (1 << 3)
     assert masks[2] == (1 << 1) | (1 << 3)
+
+
+def test_bit_list_lists_the_set_bits_in_ascending_order():
+    rng = random.Random(34)
+    masks = [0, *(1 << i for i in range(200))]
+    masks += [rng.getrandbits(rng.randint(1, 200)) for _ in range(500)]
+    for m in masks:
+        assert bit_list(m) == [i for i in range(m.bit_length()) if m >> i & 1]
 
 
 @given(edge_lists())

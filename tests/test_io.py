@@ -131,6 +131,8 @@ def _tamper(mutate):
         (lambda d: d["labels"].update({"1_0": "ten"}), "label key '1_0'"),
         (lambda d: d["labels"].update({"\u0661": "one"}), "is not a vertex"),
         (lambda d: d["labels"].update({"01": "pad"}), "label key '01'"),
+        (lambda d: d["labels"].update({"+1": "plus"}), "label key '+1'"),
+        (lambda d: d["labels"].update({"-0": "neg"}), "label key '-0'"),
         # JSON booleans are not integers here
         (lambda d: d.update(n=True), "'n' must be a non-negative integer"),
         (lambda d: d["d"].append(True), "'d' must list vertices"),

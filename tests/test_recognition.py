@@ -437,6 +437,18 @@ def test_recognize_h_outputs_are_pinned():
     )
 
 
+def test_recognize_h_ignores_the_insertion_order_of_pair_map():
+    # the scans index each D-vertex's pairs; that index must come out in
+    # sorted key order whatever order pair_map lists the pairs in
+    instances = [gadget_a(4), gadget_b()]
+    instances += [_dense_star(seed) for seed in range(20)]
+    instances += list(islice(h_instance_stream(7), 50))
+    for inst in instances:
+        flipped = dict(reversed(inst.pair_map.items()))
+        assert len(flipped) < 2 or list(flipped) != list(inst.pair_map)
+        assert recognize_h(replace(inst, pair_map=flipped)) == recognize_h(inst)
+
+
 def test_recognize_scales_to_large_trees():
     # supplementary edges join the first subdivision vertices of pairs
     # sharing a D-vertex: plenty of matching work, and never an obstruction
